@@ -2,6 +2,7 @@
 //! index-size accounting used by Exp-4 (Fig. 6(k)) and the incremental
 //! maintenance hooks of component C2 (Fig. 2).
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use beas_relal::{Database, DatabaseSchema, DistanceKind, Row};
@@ -30,6 +31,20 @@ pub struct Catalog {
     /// update batch shares every family structurally, and `insert_row`
     /// deep-copies only the families defined on the touched relation.
     families: Vec<Arc<TemplateFamily>>,
+    /// Family ids per relation, filled by [`Catalog::add_family_arc`] (the
+    /// only way a family enters the catalog), so the planner's per-atom
+    /// lookups are a map probe instead of a scan over every family.
+    by_relation: HashMap<String, RelationFamilies>,
+}
+
+/// The ids of the families defined on one relation, in insertion order.
+#[derive(Debug, Clone, Default)]
+struct RelationFamilies {
+    all: Vec<FamilyId>,
+    /// The subset that are access constraints. Whether a family is one is
+    /// fixed when it is added: maintenance never adds levels or changes a
+    /// level's resolution.
+    constraints: Vec<FamilyId>,
 }
 
 impl Catalog {
@@ -41,6 +56,7 @@ impl Catalog {
             policy: BudgetPolicy::default(),
             version: 0,
             families: Vec::new(),
+            by_relation: HashMap::new(),
         }
     }
 
@@ -72,9 +88,15 @@ impl Catalog {
     /// cluster coordinator assembling its global planning catalog from the
     /// families its shard engines built.
     pub fn add_family_arc(&mut self, family: Arc<TemplateFamily>) -> FamilyId {
+        let id = self.families.len();
+        let ids = self.by_relation.entry(family.relation.clone()).or_default();
+        ids.all.push(id);
+        if family.is_constraint() {
+            ids.constraints.push(id);
+        }
         self.families.push(family);
         self.version += 1;
-        self.families.len() - 1
+        id
     }
 
     /// The family with the given id.
@@ -107,23 +129,17 @@ impl Catalog {
     }
 
     /// Ids of all families defined on `relation`.
-    pub fn families_for(&self, relation: &str) -> Vec<FamilyId> {
-        self.families
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.relation == relation)
-            .map(|(i, _)| i)
-            .collect()
+    pub fn families_for(&self, relation: &str) -> &[FamilyId] {
+        self.by_relation
+            .get(relation)
+            .map_or(&[], |ids| ids.all.as_slice())
     }
 
     /// Ids of the access constraints (single exact level) on `relation`.
-    pub fn constraints_for(&self, relation: &str) -> Vec<FamilyId> {
-        self.families
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.relation == relation && f.is_constraint())
-            .map(|(i, _)| i)
-            .collect()
+    pub fn constraints_for(&self, relation: &str) -> &[FamilyId] {
+        self.by_relation
+            .get(relation)
+            .map_or(&[], |ids| ids.constraints.as_slice())
     }
 
     /// The `A_t` family of `relation`: the `∅ → attr(R)` family covering all
@@ -322,6 +338,34 @@ mod tests {
         assert_eq!(catalog.constraints_for("friend"), vec![id]);
         assert!(catalog.constraints_for("person").is_empty());
         assert!(catalog.family(99).is_err());
+    }
+
+    #[test]
+    fn relation_lookups_survive_clones_and_later_families() {
+        let db = small_db();
+        let mut catalog = Catalog::for_database(&db, &AtOptions::default()).unwrap();
+        let c = catalog.add_family(build_constraint(&db, "friend", &["pid"], &["fid"]).unwrap());
+        assert!(catalog.families_for("poi").is_empty());
+        assert!(catalog.constraints_for("poi").is_empty());
+
+        // a copy-on-write clone (an update batch) keeps the lists, and
+        // diverges from the original only by what is added to it
+        let mut clone = catalog.clone();
+        clone
+            .insert_row("friend", &vec![Value::Int(2), Value::Int(99)])
+            .unwrap();
+        let d = clone.add_family(build_constraint(&db, "person", &["pid"], &["city"]).unwrap());
+        assert_eq!(clone.constraints_for("friend"), [c]);
+        assert_eq!(clone.constraints_for("person"), [d]);
+        assert!(catalog.constraints_for("person").is_empty());
+        for cat in [&catalog, &clone] {
+            for rel in ["friend", "person", "poi"] {
+                let scan: Vec<FamilyId> = (0..cat.len())
+                    .filter(|&id| cat.family(id).unwrap().relation == rel)
+                    .collect();
+                assert_eq!(cat.families_for(rel), scan);
+            }
+        }
     }
 
     #[test]

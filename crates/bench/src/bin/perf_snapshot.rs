@@ -2,9 +2,10 @@
 //! (`plan_execution` bounded and full-eval, the `materialize` fetch path,
 //! `concurrent_serving`, the HTTP serving path, and the durable store's
 //! cold-build vs warm-open restart cost) with short, fixed
-//! iteration counts — a CI-friendly smoke run whose output
-//! (`BENCH_pr9.json` by default) gives future changes a wall-clock
-//! trajectory to compare against.
+//! iteration counts — a CI-friendly smoke run whose output gives future
+//! changes a wall-clock trajectory to compare against. Without `OUT.json` it
+//! writes `BENCH_local.json`, which is git-ignored: a committed
+//! `BENCH_pr<N>.json` record is only ever written by naming it.
 //!
 //! ```text
 //! cargo run --release -p beas-bench --bin perf_snapshot -- [OUT.json] [--check [BASELINE.json]]
@@ -175,7 +176,7 @@ fn main() {
             }
         }
     }
-    let out_path = out_path.unwrap_or_else(|| "BENCH_pr9.json".to_string());
+    let out_path = out_path.unwrap_or_else(|| "BENCH_local.json".to_string());
     const ITERS: usize = 5;
     let mut samples: Vec<Sample> = Vec::new();
 

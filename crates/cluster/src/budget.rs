@@ -52,7 +52,8 @@ pub fn split_budget(
     }
     let resolved = plan.budget.max(plan.tariff);
     let mut tariffs = vec![0usize; shards];
-    for node in &plan.fetch.nodes {
+    let node_tariffs = plan.fetch.node_tariffs(catalog)?;
+    for (node, &tariff) in plan.fetch.nodes.iter().zip(&node_tariffs) {
         let owner = family_owner.get(node.family).copied().ok_or_else(|| {
             ClusterError::Config(format!("family {} has no owning shard", node.family))
         })?;
@@ -62,7 +63,7 @@ pub fn split_budget(
                 node.family
             )));
         }
-        tariffs[owner] = tariffs[owner].saturating_add(plan.fetch.node_tariff(catalog, node.id)?);
+        tariffs[owner] = tariffs[owner].saturating_add(tariff);
     }
     let total_tariff: usize = tariffs.iter().fold(0usize, |a, &t| a.saturating_add(t));
     let slack = resolved.saturating_sub(total_tariff);

@@ -20,7 +20,7 @@ use beas_access::{Catalog, FamilyId};
 use beas_relal::{SpcQuery, Term};
 
 use crate::error::{BeasError, Result};
-use crate::plan::{needed_positions, FetchNode, FetchPlan, KeySource, LeafPlan};
+use crate::plan::{needed_positions, FetchNode, FetchPlan, KeySource, LeafPlan, Tariff};
 
 /// Provenance of an exactly covered variable: which node's output column holds
 /// its values.
@@ -63,6 +63,10 @@ pub fn chase_leaf(
 ) -> Result<ChaseOutcome> {
     let needed = needed_positions(leaf);
     let schema = &catalog.schema;
+    // the tariff of the nodes planned so far (earlier leaves included); no
+    // node's level changes during the chase, so it is kept current by
+    // appending alongside every `plan.push`
+    let mut tariff = plan.tariff(catalog)?;
 
     // attribute names per atom position
     let mut attr_names: Vec<Vec<String>> = Vec::with_capacity(leaf.atoms.len());
@@ -95,7 +99,7 @@ pub fn chase_leaf(
     while progress {
         progress = false;
         for (ai, atom) in leaf.atoms.iter().enumerate() {
-            for &fam_id in &catalog.constraints_for(&atom.relation) {
+            for &fam_id in catalog.constraints_for(&atom.relation) {
                 let family = catalog.family(fam_id)?;
                 // does applying this constraint cover a new needed variable?
                 let covers_new = family.y.iter().any(|y_attr| {
@@ -120,17 +124,15 @@ pub fn chase_leaf(
                 // tariff check against the global budget, reserving one tuple
                 // for every atom that still needs its completion fetch
                 let exact_level = family.exact_level();
-                let est_keys = match input_node {
-                    None => 1,
-                    Some(n) => plan.est_output_rows(catalog, n)?,
-                };
-                let added = est_keys.saturating_mul(family.level(exact_level)?.n.max(1));
-                let current = plan.total_tariff(catalog)?;
+                let level = family.level(exact_level)?;
+                let est_keys = input_node.map_or(1, |n| tariff.rows(n));
+                let added = est_keys.saturating_mul(level.n.max(1));
                 let reserve = atoms_after + leaf.atoms.len();
-                if current.saturating_add(added).saturating_add(reserve) > budget {
+                if tariff.total().saturating_add(added).saturating_add(reserve) > budget {
                     continue;
                 }
                 // apply the constraint: one fetch node, Y variables become exact
+                tariff.push(level, input_node)?;
                 let node_id = plan.push(FetchNode {
                     id: 0,
                     family: fam_id,
@@ -188,7 +190,7 @@ pub fn chase_leaf(
             catalog,
             &exact_vars,
             &const_vars,
-            plan,
+            &tariff,
             budget.saturating_sub(reserve),
         )?;
         let Some((fam_id, level, sources, input_node, exact)) = candidate else {
@@ -200,6 +202,8 @@ pub fn chase_leaf(
         if !exact {
             all_exact = false;
         }
+        let family = catalog.family(fam_id)?;
+        tariff.push(family.level(level)?, input_node)?;
         let node_id = plan.push(FetchNode {
             id: 0,
             family: fam_id,
@@ -214,7 +218,6 @@ pub fn chase_leaf(
         atom_nodes[ai] = node_id;
         // the completion node also provides exact provenance for key-side and
         // (if exact) fetched variables of this atom
-        let family = catalog.family(fam_id)?;
         for (pi, term) in leaf.terms[ai].iter().enumerate() {
             if let Term::Var(v) = term {
                 let attr = &attr_names[ai][pi];
@@ -315,11 +318,11 @@ fn select_completion_family(
     catalog: &Catalog,
     exact_vars: &std::collections::BTreeMap<usize, VarProvenance>,
     const_vars: &std::collections::BTreeMap<usize, beas_relal::Value>,
-    plan: &FetchPlan,
+    tariff: &Tariff,
     budget: usize,
 ) -> Result<Option<(FamilyId, usize, Vec<KeySource>, Option<usize>, bool)>> {
     let relation = &leaf.atoms[atom].relation;
-    let current_tariff = plan.total_tariff(catalog)?;
+    let current_tariff = tariff.total();
 
     // candidate = (priority, tariff, family, level, sources, input, exact)
     let mut best: Option<(
@@ -356,7 +359,7 @@ fn select_completion_family(
         }
     };
 
-    for &fam_id in &catalog.families_for(relation) {
+    for &fam_id in catalog.families_for(relation) {
         let family = catalog.family(fam_id)?;
         if !covers_all_needed(catalog, fam_id, needed, attr_names) {
             continue;
@@ -366,10 +369,7 @@ fn select_completion_family(
         else {
             continue;
         };
-        let est_keys = match input_node {
-            None => 1usize,
-            Some(n) => plan.est_output_rows(catalog, n)?,
-        };
+        let est_keys = input_node.map_or(1, |n| tariff.rows(n));
 
         // (a) exact level within budget → priority 0 (keyed) / 1 (whole-relation)
         let exact_level = family.exact_level();

@@ -1548,16 +1548,35 @@ mod tests {
         assert!(answer.answers.rows().any(|r| r == vec![Value::from("NYC")]));
     }
 
+    /// The catalog's per-relation id lists against a scan over its families.
+    fn assert_relation_lookups_match_a_scan(catalog: &Catalog) {
+        for rel in ["friend", "person", "poi", "nope"] {
+            let on_rel = |constraints_only: bool| -> Vec<FamilyId> {
+                (0..catalog.len())
+                    .filter(|&id| {
+                        let f = catalog.family(id).unwrap();
+                        f.relation == rel && (!constraints_only || f.is_constraint())
+                    })
+                    .collect()
+            };
+            assert_eq!(catalog.families_for(rel), on_rel(false), "{rel}");
+            assert_eq!(catalog.constraints_for(rel), on_rel(true), "{rel}");
+        }
+        assert!(!catalog.constraints_for("friend").is_empty());
+    }
+
     #[test]
     fn apply_update_shares_untouched_relations_and_families() {
         use std::sync::Arc as StdArc;
         let beas = engine(150);
         let before = beas.snapshot();
+        assert_relation_lookups_match_a_scan(before.catalog());
 
         // a batch touching only `friend`
         let batch = UpdateBatch::new().insert("friend", vec![Value::Int(1), Value::Int(777)]);
         beas.apply_update(&batch).unwrap();
         let after = beas.snapshot();
+        assert_relation_lookups_match_a_scan(after.catalog());
 
         // untouched relations are structurally shared with the old snapshot…
         for rel in ["person", "poi"] {
@@ -1795,6 +1814,7 @@ mod tests {
         let reopened = Beas::open_with(&dir, opts).unwrap();
         let stats = reopened.stats();
         assert_eq!(stats.replayed_batches, 3);
+        assert_relation_lookups_match_a_scan(&reopened.catalog());
         // replay absorbs into the families of the touched relations (friend,
         // person) and pages those in; the poi families stay on disk until a
         // query actually fetches from them

@@ -15,7 +15,7 @@
 
 use std::collections::BTreeSet;
 
-use beas_access::{Catalog, FamilyId};
+use beas_access::{Catalog, FamilyId, Level};
 use beas_relal::{DatabaseSchema, SpcQuery, Term, Value};
 
 use crate::error::{BeasError, Result};
@@ -86,40 +86,29 @@ impl FetchPlan {
             .ok_or_else(|| BeasError::Planning(format!("unknown fetch node {id}")))
     }
 
-    /// Estimated number of distinct keys probed by `node` (the size of its
-    /// input relation `T`), derived from the `N` bounds of upstream templates.
-    pub fn est_keys(&self, catalog: &Catalog, id: usize) -> Result<usize> {
-        let node = self.node(id)?;
-        match node.input_node {
-            None => Ok(1),
-            Some(input) => self.est_output_rows(catalog, input),
+    /// The tariff of the plan as it stands: one forward pass over the nodes,
+    /// which are in topological order.
+    pub(crate) fn tariff(&self, catalog: &Catalog) -> Result<Tariff> {
+        let mut tariff = Tariff::default();
+        for node in &self.nodes {
+            let level = catalog.family(node.family)?.level(node.level)?;
+            tariff.push(level, node.input_node)?;
         }
+        Ok(tariff)
     }
 
-    /// Estimated number of rows output by `node`: `est_keys · N_level`, capped
-    /// by the number of tuples stored at that level of the family (a fetch of
-    /// distinct keys can never return more than the whole level).
-    pub fn est_output_rows(&self, catalog: &Catalog, id: usize) -> Result<usize> {
-        let node = self.node(id)?;
-        let family = catalog.family(node.family)?;
-        let level = family.level(node.level)?;
-        let n = level.n.max(1);
-        let per_key = self.est_keys(catalog, id)?.saturating_mul(n);
-        Ok(per_key.min(level.stored_tuples().max(1)))
-    }
-
-    /// Estimated tariff of one node: the number of tuples its fetch accesses.
-    pub fn node_tariff(&self, catalog: &Catalog, id: usize) -> Result<usize> {
-        self.est_output_rows(catalog, id)
+    /// Estimated tuples accessed by each node, in node order: the number of
+    /// distinct keys the node probes (1 for a constant key, else the rows its
+    /// input node outputs) times the level's bound `N`, capped by the number
+    /// of tuples stored at that level of the family (a fetch of distinct keys
+    /// can never return more than the whole level).
+    pub fn node_tariffs(&self, catalog: &Catalog) -> Result<Vec<usize>> {
+        Ok(self.tariff(catalog)?.rows)
     }
 
     /// Estimated total tariff of the plan (`tariff(ξ_F)` in Fig. 3).
     pub fn total_tariff(&self, catalog: &Catalog) -> Result<usize> {
-        let mut total = 0usize;
-        for node in &self.nodes {
-            total = total.saturating_add(self.node_tariff(catalog, node.id)?);
-        }
-        Ok(total)
+        Ok(self.tariff(catalog)?.total())
     }
 
     /// The family ids used by the plan (deduplicated).
@@ -149,6 +138,57 @@ impl FetchPlan {
 
 fn node_id_of(nodes: &[FetchNode]) -> usize {
     nodes.len() - 1
+}
+
+/// The tariff estimate of a fetching plan, built node by node in plan
+/// (topological) order — the only implementation of the estimate. The chase
+/// appends to it as it appends nodes; `chAT` re-runs it over the plan's shape
+/// for every level upgrade it tries; [`FetchPlan::total_tariff`] is one pass
+/// over the plan as it stands.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Tariff {
+    /// Estimated rows output (= tuples accessed) per node.
+    rows: Vec<usize>,
+    /// Saturating sum of `rows`.
+    total: usize,
+}
+
+impl Tariff {
+    /// Appends the next node of the plan: a fetch at `level` keyed by the
+    /// output of node `input` (by constants when `None`).
+    pub(crate) fn push(&mut self, level: &Level, input: Option<usize>) -> Result<()> {
+        let keys = match input {
+            None => 1,
+            Some(i) => *self.rows.get(i).ok_or_else(|| {
+                BeasError::Planning(format!(
+                    "fetch node {} takes its keys from node {i}, which does not precede it",
+                    self.rows.len()
+                ))
+            })?,
+        };
+        let rows = keys
+            .saturating_mul(level.n.max(1))
+            .min(level.stored_tuples().max(1));
+        self.rows.push(rows);
+        self.total = self.total.saturating_add(rows);
+        Ok(())
+    }
+
+    /// Forgets every node, keeping the allocation.
+    pub(crate) fn clear(&mut self) {
+        self.rows.clear();
+        self.total = 0;
+    }
+
+    /// Estimated rows output by node `id`.
+    pub(crate) fn rows(&self, id: usize) -> usize {
+        self.rows[id]
+    }
+
+    /// Estimated tuples accessed by all nodes pushed so far.
+    pub(crate) fn total(&self) -> usize {
+        self.total
+    }
 }
 
 /// Per-leaf planning information: which fetch node provides each atom's
@@ -356,11 +396,13 @@ mod tests {
             is_completion: true,
         });
         let friend_n = catalog.family(friend_c).unwrap().levels[0].n;
-        assert_eq!(plan.est_keys(&catalog, n0).unwrap(), 1);
-        assert_eq!(plan.est_output_rows(&catalog, n0).unwrap(), friend_n);
-        assert_eq!(plan.est_keys(&catalog, n1).unwrap(), friend_n);
-        // person constraint returns 1 city per pid
-        assert_eq!(plan.est_output_rows(&catalog, n1).unwrap(), friend_n);
+        // one constant key into friend; its output keys the person
+        // constraint, which returns 1 city per pid
+        assert_eq!((n0, n1), (0, 1));
+        assert_eq!(
+            plan.node_tariffs(&catalog).unwrap(),
+            vec![friend_n, friend_n]
+        );
         assert_eq!(plan.total_tariff(&catalog).unwrap(), 2 * friend_n);
         assert_eq!(plan.used_families(), {
             let mut v = vec![friend_c, person_c];
@@ -465,7 +507,33 @@ mod tests {
     fn unknown_node_lookup_errors() {
         let plan = FetchPlan::default();
         assert!(plan.node(0).is_err());
-        let catalog = Catalog::new(DatabaseSchema::default(), 0);
-        assert!(plan.est_keys(&catalog, 3).is_err());
+    }
+
+    #[test]
+    fn tariff_rejects_a_node_keyed_by_a_later_node() {
+        let db = example_db();
+        let catalog = catalog_for(&db);
+        let person_c = catalog.constraints_for("person")[0];
+        // `nodes` is public: a hand-built plan can break the topological order
+        let plan = FetchPlan {
+            nodes: vec![FetchNode {
+                id: 0,
+                family: person_c,
+                level: 0,
+                relation: "person".into(),
+                subquery: 0,
+                atom: 0,
+                input_node: Some(0),
+                key_sources: vec![KeySource::Column("pid".into())],
+                is_completion: true,
+            }],
+        };
+        assert!(plan.total_tariff(&catalog).is_err());
+        // as can an unknown family or level
+        let mut plan = plan;
+        plan.nodes[0].input_node = None;
+        assert_eq!(plan.total_tariff(&catalog).unwrap(), 1);
+        plan.nodes[0].level = 7;
+        assert!(plan.total_tariff(&catalog).is_err());
     }
 }

@@ -4,13 +4,49 @@
 //!
 //! Planning never touches the database: it only uses the query, the catalog
 //! (access schema) and the budget `B = α·|D|`, per property (2) of the scheme.
+//!
+//! # `chAT` over a compiled plan shape
+//!
+//! The chase fixes the plan's *shape*: which fetch node completes which atom,
+//! through which family, keyed by which earlier node. `chAT` only moves the
+//! nodes' levels, and asks two questions about every move it considers: what
+//! is `L` now, and what is the tariff now. So the shape is compiled once per
+//! plan (`BoundProgram`):
+//!
+//! * every term of `L` — an output position (×1; it also bounds coverage when
+//!   its leaf is a positive one), a constant or `var op const` position (×2),
+//!   a join or `var op var` pair (the sum of both sides) — becomes one or two
+//!   slots of a flat resolution table. A slot is the constant 0 (the position
+//!   is part of its node's lookup key), the constant `+∞` (the node's family
+//!   does not produce the attribute), or entry `y` of a per-node block that
+//!   holds the per-Y-attribute resolution of the node's current level; terms
+//!   that can only be 0 are dropped. `L` is a maximum over that table, and
+//!   moving a node copies one level's resolution vector into its block;
+//! * every node keeps a reference to its family and its input node, and the
+//!   tariff is one forward pass over the nodes (they are in topological
+//!   order) of the same per-node estimate the chase accumulates
+//!   (`plan::Tariff`).
+//!
+//! Names (relations, attributes, families) are resolved during compilation
+//! only. A plan then costs `steps × candidates × (terms + nodes)` table reads
+//! — about 27 steps of at most 6 candidates at a few dozen reads each on the
+//! generated TPC-H pools — instead of that many walks over the query.
+//!
+//! The plans are bit-identical to the walk's: the same `f64` resolutions are
+//! combined by the same operations (`r + r` is `2.0 * r` exactly; sums keep
+//! their operand order; a maximum does not depend on the order of its
+//! non-NaN operands, and `f64::max` skips NaN either way), candidates are
+//! tried in node order under the same strict `(gain, own gain)` comparison,
+//! and the tariff saturates exactly as before. [`Planner::distance_bounds`],
+//! [`Planner::binding_site`], [`FetchPlan::total_tariff`] and the planner's
+//! own η all evaluate the same program: there is one `L` and one tariff.
 
-use beas_access::{Catalog, ResourceSpec};
-use beas_relal::{SelCond, SpcQuery};
+use beas_access::{Catalog, FamilyId, ResourceSpec, TemplateFamily};
+use beas_relal::{Position, SelCond, SpcQuery};
 
 use crate::chase::chase_leaf;
 use crate::error::{BeasError, Result};
-use crate::plan::{FetchPlan, LeafPlan};
+use crate::plan::{FetchPlan, LeafPlan, Tariff};
 use crate::query::{BeasQuery, RaQuery};
 
 /// A complete α-bounded query plan together with its accuracy bound.
@@ -128,7 +164,7 @@ impl<'a> Planner<'a> {
         query: &BeasQuery,
         budget: usize,
     ) -> Result<BoundedPlan> {
-        let ra = query.ra().clone();
+        let ra = query.ra();
         let leaves: Vec<&SpcQuery> = ra.spc_leaves();
 
         // Step 1: chase every max SPC sub-query to derive the initial fetching
@@ -145,12 +181,10 @@ impl<'a> Planner<'a> {
             leaf_plans.push(outcome.leaf_plan);
         }
 
-        // Step 2: chAT — greedily upgrade template levels within the budget.
-        self.chat(&ra, &leaves, &leaf_plans, &mut fetch, budget)?;
-
-        // Step 3: accuracy bounds from the final plan.
-        let bounds = self.distance_bounds(&ra, &leaves, &leaf_plans, &fetch)?;
-        let tariff = fetch.total_tariff(self.catalog)?;
+        // Steps 2 and 3: chAT — greedily upgrade template levels within the
+        // budget — which ends knowing the accuracy bounds and the tariff of
+        // the plan it settled on.
+        let (bounds, tariff) = self.chat(ra, &leaves, &leaf_plans, &mut fetch, budget)?;
         let mut eta = bounds.eta();
         if let BeasQuery::Aggregate(agg) = query {
             // Corollary 7 carries the RA bounds over to min/max aggregates; for
@@ -189,70 +223,72 @@ impl<'a> Planner<'a> {
 
     /// `chAT` (Fig. 3): repeatedly pick the fetch operation whose upgrade to
     /// the next resolution level yields the largest improvement of the lower
-    /// bound `L`, as long as the plan stays within the budget.
-    fn chat(
+    /// bound `L`, as long as the plan stays within the budget. Writes the
+    /// chosen levels into `fetch` and returns the bounds and the tariff of
+    /// the resulting plan.
+    pub fn chat(
         &self,
         ra: &RaQuery,
         leaves: &[&SpcQuery],
         leaf_plans: &[LeafPlan],
         fetch: &mut FetchPlan,
         budget: usize,
-    ) -> Result<()> {
-        loop {
-            let current_bounds = self.distance_bounds(ra, leaves, leaf_plans, fetch)?;
-            let current_worst = current_bounds.d_rel.max(current_bounds.d_cov);
+    ) -> Result<(DistanceBounds, usize)> {
+        let mut program = BoundProgram::compile(self.catalog, ra, leaves, leaf_plans, fetch)?;
+        let mut scratch = Tariff::default();
+        let bounds = loop {
+            let current = program.bounds();
+            let current_worst = current.d_rel.max(current.d_cov);
             if current_worst == 0.0 {
-                return Ok(()); // already exact
+                break current; // already exact
             }
 
             // candidate upgrades: any node below its family's deepest level
             let mut best: Option<(f64, f64, usize)> = None; // (bound gain, own gain, node)
-            for node in 0..fetch.nodes.len() {
-                let family = self.catalog.family(fetch.nodes[node].family)?;
-                let level = fetch.nodes[node].level;
+            for node in 0..program.nodes.len() {
+                let family = program.nodes[node].family;
+                let level = program.levels[node];
                 if level + 1 >= family.num_levels() {
                     continue;
                 }
                 // apply tentatively
-                fetch.nodes[node].level = level + 1;
-                let feasible = fetch.total_tariff(self.catalog)? <= budget;
-                let (gain, own_gain) = if feasible {
-                    let new_bounds = self.distance_bounds(ra, leaves, leaf_plans, fetch)?;
-                    let new_worst = new_bounds.d_rel.max(new_bounds.d_cov);
+                program.set_level(node, level + 1);
+                let candidate = if program.tariff(&mut scratch)? <= budget {
+                    let new = program.bounds();
                     // per-attribute improvement of the node's own resolution:
                     // used to keep zooming in (which improves the answers even
                     // when the plan-wide bound is dominated by another node)
-                    let old_res = &family.level(level)?.resolution;
-                    let new_res = &family.level(level + 1)?.resolution;
-                    let own: f64 = old_res
+                    let own: f64 = family.levels[level]
+                        .resolution
                         .iter()
-                        .zip(new_res.iter())
+                        .zip(&family.levels[level + 1].resolution)
                         .map(|(o, n)| finite_gain(*o, *n))
                         .sum();
-                    (finite_gain(current_worst, new_worst), own)
+                    Some((finite_gain(current_worst, new.d_rel.max(new.d_cov)), own))
                 } else {
-                    (f64::NEG_INFINITY, f64::NEG_INFINITY)
+                    None
                 };
-                fetch.nodes[node].level = level; // revert
-                if !feasible {
+                program.set_level(node, level); // revert
+                let Some((gain, own_gain)) = candidate else {
                     continue;
-                }
-                let candidate = (gain, own_gain, node);
+                };
                 let better = match &best {
                     None => true,
                     Some((bg, bo, _)) => (gain, own_gain) > (*bg, *bo),
                 };
                 if better && (gain > 0.0 || own_gain > 0.0) {
-                    best = Some(candidate);
+                    best = Some((gain, own_gain, node));
                 }
             }
             match best {
-                Some((_, _, node)) => {
-                    fetch.nodes[node].level += 1;
-                }
-                None => return Ok(()),
+                Some((_, _, node)) => program.set_level(node, program.levels[node] + 1),
+                None => break current,
             }
+        };
+        for (node, &level) in fetch.nodes.iter_mut().zip(&program.levels) {
+            node.level = level;
         }
+        Ok((bounds, program.tariff(&mut scratch)?))
     }
 
     /// The lower-bound function `L`: per-position resolutions are propagated
@@ -266,79 +302,258 @@ impl<'a> Planner<'a> {
         leaf_plans: &[LeafPlan],
         fetch: &FetchPlan,
     ) -> Result<DistanceBounds> {
-        let schema = &self.catalog.schema;
-        // indices of leaves that contribute positively to the answer
-        let positive = positive_leaf_indices(ra);
+        Ok(BoundProgram::compile(self.catalog, ra, leaves, leaf_plans, fetch)?.bounds())
+    }
 
-        let mut d_rel: f64 = 0.0;
-        let mut d_cov: f64 = 0.0;
-        for (i, (leaf, leaf_plan)) in leaves.iter().zip(leaf_plans.iter()).enumerate() {
-            let res = |pos: beas_relal::Position| -> Result<f64> {
-                leaf_plan.position_resolution(fetch, self.catalog, schema, leaf, pos)
+    /// η attribution: the index level whose resolution sets the plan's bound,
+    /// as `(family, level, attribute)` — the arg-max term of `L`, and within
+    /// a two-sided term (a join or an attribute comparison) the coarser side.
+    /// `None` exactly when the plan is exact. η cannot rise while that term
+    /// stays as large; when the attribute is one the family does not produce
+    /// at all, no level will shrink it.
+    pub fn binding_site(&self, plan: &BoundedPlan) -> Result<Option<(FamilyId, usize, String)>> {
+        let ra = plan.query.ra();
+        let program = BoundProgram::compile(
+            self.catalog,
+            ra,
+            &ra.spc_leaves(),
+            &plan.leaves,
+            &plan.fetch,
+        )?;
+        Ok(program.binding().map(|site| {
+            let node = &plan.fetch.nodes[site.node];
+            (node.family, node.level, site.attr.to_string())
+        }))
+    }
+}
+
+/// Slot of the resolution table that always reads 0: positions that are part
+/// of their completion node's lookup key are exact at every level.
+const EXACT: usize = 0;
+/// Slot that always reads `+∞`: positions the completion node's family does
+/// not produce.
+const MISSING: usize = 1;
+
+/// One tableau position of the query, resolved against the plan's shape.
+#[derive(Debug, Clone, Copy)]
+struct Site<'a> {
+    /// The completion node of the position's atom.
+    node: usize,
+    /// The attribute at the position.
+    attr: &'a str,
+    /// Where the position's resolution is read from in the resolution table:
+    /// [`EXACT`], [`MISSING`], or the attribute's slot in the node's block.
+    slot: usize,
+}
+
+/// One term of `L`: the resolution of `a`, plus that of `b` when present.
+#[derive(Debug, Clone, Copy)]
+struct BoundTerm<'a> {
+    a: Site<'a>,
+    b: Option<Site<'a>>,
+    /// Whether the term also bounds coverage (`d_cov`), not only relevance.
+    coverage: bool,
+}
+
+/// One fetch node as the tariff and `L` see it.
+#[derive(Debug)]
+struct ProgramNode<'a> {
+    family: &'a TemplateFamily,
+    input: Option<usize>,
+    /// First slot of the node's block of the resolution table (one slot per
+    /// Y attribute of the family).
+    block: usize,
+}
+
+/// The lower-bound function `L` and the tariff of one plan *shape* — which
+/// node completes which atom, with which family, keyed by which node —
+/// compiled once, so that both are functions of the level vector alone (see
+/// the module docs), together with the level vector they are evaluated at.
+#[derive(Debug)]
+struct BoundProgram<'a> {
+    nodes: Vec<ProgramNode<'a>>,
+    /// The terms of `L` that can be non-zero; `d_rel` is their maximum and
+    /// `d_cov` the maximum of those flagged `coverage`.
+    terms: Vec<BoundTerm<'a>>,
+    /// The current level of every node.
+    levels: Vec<usize>,
+    /// The resolution table: [`EXACT`], [`MISSING`], then per node the
+    /// per-Y-attribute resolution of its current level.
+    resolutions: Vec<f64>,
+}
+
+impl<'a> BoundProgram<'a> {
+    /// Compiles the plan's shape, at the levels `fetch` holds.
+    fn compile(
+        catalog: &'a Catalog,
+        ra: &RaQuery,
+        leaves: &[&SpcQuery],
+        leaf_plans: &[LeafPlan],
+        fetch: &FetchPlan,
+    ) -> Result<Self> {
+        let mut nodes = Vec::with_capacity(fetch.nodes.len());
+        let mut resolutions = vec![0.0, f64::INFINITY];
+        for node in &fetch.nodes {
+            let family = catalog.family(node.family)?;
+            nodes.push(ProgramNode {
+                family,
+                input: node.input_node,
+                block: resolutions.len(),
+            });
+            resolutions.extend_from_slice(&family.level(node.level)?.resolution);
+        }
+
+        let positive = positive_leaf_indices(ra);
+        let mut terms = Vec::new();
+        for (i, (leaf, leaf_plan)) in leaves.iter().zip(leaf_plans).enumerate() {
+            let site = |pos: Position| -> Result<Site<'a>> {
+                let node = *leaf_plan.atom_nodes.get(pos.0).ok_or_else(|| {
+                    BeasError::Planning(format!("no completion node for atom {}", pos.0))
+                })?;
+                let ProgramNode { family, block, .. } = nodes
+                    .get(node)
+                    .ok_or_else(|| BeasError::Planning(format!("unknown fetch node {node}")))?;
+                let attr = catalog
+                    .schema
+                    .relation(&leaf.atoms[pos.0].relation)?
+                    .attributes
+                    .get(pos.1)
+                    .ok_or_else(|| BeasError::Planning(format!("bad position {pos:?}")))?
+                    .name
+                    .as_str();
+                let slot = if family.x.iter().any(|a| a == attr) {
+                    EXACT
+                } else {
+                    match family.y.iter().position(|a| a == attr) {
+                        Some(y) => block + y,
+                        None => MISSING,
+                    }
+                };
+                Ok(Site { node, attr, slot })
+            };
+            let var_positions = leaf.var_positions();
+            let var_site = |var: usize, role: &str| -> Result<Site<'a>> {
+                let positions = var_positions
+                    .get(&var)
+                    .ok_or_else(|| BeasError::Planning(format!("{role} variable {var} unbound")))?;
+                site(positions[0])
+            };
+            let mut push = |a: Site<'a>, b: Option<Site<'a>>, coverage: bool| {
+                if a.slot != EXACT || b.is_some_and(|b| b.slot != EXACT) {
+                    terms.push(BoundTerm { a, b, coverage });
+                }
             };
 
             // output attributes: the answer can deviate by the resolution of
-            // the position it is projected from
-            let mut d_out: f64 = 0.0;
+            // the position it is projected from. All leaves contribute to
+            // relevance; only positive leaves bound coverage (Sec. 6:
+            // d_rel(Q1 − Q2) = d_rel(Q1), d_cov = d_cov(Q1))
+            let coverage = positive.contains(&i);
             for out in &leaf.output {
-                let pos = leaf.var_first_position(out.var).ok_or_else(|| {
-                    BeasError::Planning(format!("output variable {} unbound", out.var))
-                })?;
-                d_out = d_out.max(res(pos)?);
+                push(var_site(out.var, "output")?, None, coverage);
             }
 
             // selection conditions: a returned representative may stand for a
             // real tuple that needs relaxation up to twice the resolution of
             // the attributes involved (constants), or the sum of both sides'
             // resolutions (joins / attribute comparisons)
-            let mut d_sel: f64 = 0.0;
-            for (ai, terms) in leaf.terms.iter().enumerate() {
-                for (pi, term) in terms.iter().enumerate() {
+            for (ai, atom_terms) in leaf.terms.iter().enumerate() {
+                for (pi, term) in atom_terms.iter().enumerate() {
                     if term.is_const() {
-                        d_sel = d_sel.max(2.0 * res((ai, pi))?);
+                        let s = site((ai, pi))?;
+                        push(s, Some(s), false);
                     }
                 }
             }
-            for positions in leaf.var_positions().values() {
+            for positions in var_positions.values() {
                 if positions.len() > 1 {
-                    let first = res(positions[0])?;
+                    let first = site(positions[0])?;
                     for &p in &positions[1..] {
-                        d_sel = d_sel.max(first + res(p)?);
+                        push(first, Some(site(p)?), false);
                     }
                 }
             }
             for sel in &leaf.selections {
                 match sel {
+                    // equality and inequality selections both relax by
+                    // twice the position's resolution
                     SelCond::VarConst { var, .. } => {
-                        let pos = leaf.var_first_position(*var).ok_or_else(|| {
-                            BeasError::Planning(format!("selection variable {var} unbound"))
-                        })?;
-                        // equality and inequality selections both relax by
-                        // twice the position's resolution
-                        d_sel = d_sel.max(2.0 * res(pos)?);
+                        let s = var_site(*var, "selection")?;
+                        push(s, Some(s), false);
                     }
                     SelCond::VarVar { left, right, .. } => {
-                        let lpos = leaf.var_first_position(*left).ok_or_else(|| {
-                            BeasError::Planning(format!("selection variable {left} unbound"))
-                        })?;
-                        let rpos = leaf.var_first_position(*right).ok_or_else(|| {
-                            BeasError::Planning(format!("selection variable {right} unbound"))
-                        })?;
-                        d_sel = d_sel.max(res(lpos)? + res(rpos)?);
+                        let l = var_site(*left, "selection")?;
+                        push(l, Some(var_site(*right, "selection")?), false);
                     }
                 }
             }
+        }
+        Ok(BoundProgram {
+            nodes,
+            terms,
+            levels: fetch.nodes.iter().map(|n| n.level).collect(),
+            resolutions,
+        })
+    }
 
-            let leaf_rel = d_out.max(d_sel);
-            let leaf_cov = d_out;
-            // all leaves contribute to relevance; only positive leaves bound
-            // coverage (Sec. 6: d_rel(Q1 − Q2) = d_rel(Q1), d_cov = d_cov(Q1))
-            d_rel = d_rel.max(leaf_rel);
-            if positive.contains(&i) {
-                d_cov = d_cov.max(leaf_cov);
+    /// Moves `node` to `level` (which its family must have).
+    fn set_level(&mut self, node: usize, level: usize) {
+        let ProgramNode { family, block, .. } = self.nodes[node];
+        let resolution = &family.levels[level].resolution;
+        self.resolutions[block..block + resolution.len()].copy_from_slice(resolution);
+        self.levels[node] = level;
+    }
+
+    /// The resolutions of a term's two sides at the current levels (0 for an
+    /// absent second side); the term's value is their sum.
+    fn sides(&self, term: &BoundTerm) -> (f64, f64) {
+        (
+            self.resolutions[term.a.slot],
+            term.b.map_or(0.0, |b| self.resolutions[b.slot]),
+        )
+    }
+
+    /// `L` at the current levels.
+    fn bounds(&self) -> DistanceBounds {
+        let mut bounds = DistanceBounds {
+            d_rel: 0.0,
+            d_cov: 0.0,
+        };
+        for term in &self.terms {
+            let (a, b) = self.sides(term);
+            bounds.d_rel = bounds.d_rel.max(a + b);
+            if term.coverage {
+                bounds.d_cov = bounds.d_cov.max(a + b);
             }
         }
-        Ok(DistanceBounds { d_rel, d_cov })
+        bounds
+    }
+
+    /// The site behind the first largest term of `L` at the current levels;
+    /// `None` when every term is 0.
+    fn binding(&self) -> Option<Site<'a>> {
+        let mut best: Option<(f64, Site<'a>)> = None;
+        for term in &self.terms {
+            let (a, b) = self.sides(term);
+            if a + b > best.map_or(0.0, |(worst, _)| worst) {
+                let site = match term.b {
+                    Some(site) if b > a => site,
+                    _ => term.a,
+                };
+                best = Some((a + b, site));
+            }
+        }
+        best.map(|(_, site)| site)
+    }
+
+    /// The tariff at the current levels: one forward pass over the nodes,
+    /// which are in topological order. `scratch` only lends its allocation.
+    fn tariff(&self, scratch: &mut Tariff) -> Result<usize> {
+        scratch.clear();
+        for (node, &level) in self.nodes.iter().zip(&self.levels) {
+            scratch.push(&node.family.levels[level], node.input)?;
+        }
+        Ok(scratch.total())
     }
 }
 
