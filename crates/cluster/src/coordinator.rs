@@ -361,15 +361,16 @@ fn families_per_spec(schema: &DatabaseSchema, spec: &ConstraintSpec) -> Result<u
     Ok(if rest { 3 } else { 2 })
 }
 
-/// The accounting fields a shard appends to every fetch response, if present
-/// (see [`crate::protocol`]): the coordinator keeps the latest per shard so a
-/// shard that dies later still contributes exact numbers.
-fn step_accounting_of(response: &Json) -> Option<StepStats> {
-    Some(StepStats {
-        accessed: protocol::req_usize(response, "billed").ok()?,
-        fetches: protocol::req_usize(response, "fetches").ok()?,
-        fetched_cum: protocol::req_usize(response, "fetched_tuples").ok()?,
-        reused_cum: protocol::req_usize(response, "reused_tuples").ok()?,
+/// The accounting block of an `open` or `fetch` response (see
+/// [`crate::protocol`]): the coordinator keeps the latest per shard, which is
+/// the shard's exact step accounting whether or not it lives to the end of
+/// the step — billing only changes on `fetch`.
+fn step_accounting_of(response: &Json) -> Result<StepStats> {
+    Ok(StepStats {
+        accessed: protocol::req_usize(response, "billed")?,
+        fetches: protocol::req_usize(response, "fetches")?,
+        fetched_cum: protocol::req_usize(response, "fetched_tuples")?,
+        reused_cum: protocol::req_usize(response, "reused_tuples")?,
     })
 }
 
@@ -699,7 +700,7 @@ impl ClusterHandle {
     /// `partial` exactly when a fetch node was lost; a shard that dies
     /// *after* serving all its fragments is salvaged bit-for-bit (its leaves
     /// re-evaluated at the coordinator, its accounting taken from its last
-    /// fetch response).
+    /// `open`/`fetch` response like everyone else's).
     fn run_step(
         &self,
         session: u64,
@@ -719,14 +720,13 @@ impl ClusterHandle {
         let shards = self.shards();
         let mut dead: Vec<bool> = vec![false; shards];
         let mut outage = OutageReport::default();
-        // the shard's last reported step accounting, used verbatim should it
-        // die later (exact: billing only changes on fetch)
+        // each shard's accounting as of its latest `open` or `fetch` response
         let mut last_seen: Vec<StepStats> = vec![StepStats::default(); shards];
 
         // open every shard: each plans the query for itself and must land on
         // the coordinator's plan (cross-checked by shape)
         let mut opens: Vec<Json> = Vec::with_capacity(shards);
-        for shard in 0..shards {
+        for (shard, seen) in last_seen.iter_mut().enumerate() {
             let request = protocol::open_request(
                 session,
                 qjson,
@@ -737,6 +737,7 @@ impl ClusterHandle {
             );
             match self.call(shard, &request, None) {
                 Ok(response) => {
+                    *seen = step_accounting_of(&response)?;
                     let tariff = protocol::req_usize(&response, "tariff")?;
                     let nodes = protocol::req_usize(&response, "nodes")?;
                     let leaves = protocol::req_usize(&response, "leaves")?;
@@ -799,9 +800,7 @@ impl ClusterHandle {
                     let rel = Arc::new(relation_from_json(protocol::req_field(
                         &response, "relation",
                     )?)?);
-                    if let Some(seen) = step_accounting_of(&response) {
-                        last_seen[owner] = seen;
-                    }
+                    last_seen[owner] = step_accounting_of(&response)?;
                     let fragment =
                         state.adopt_fragment(node.family, node.level, keys, Arc::clone(&rel));
                     fragments.set(node.id, fragment, rel);
@@ -879,30 +878,14 @@ impl ClusterHandle {
         let (answers, eta) = compose_plan_answer_partial(plan, &self.catalog, &leaves)?;
         self.metrics.record_merge(merge_start.elapsed());
 
-        // accounting: the cluster accessed what its shards billed — dead
-        // shards contribute their last reported numbers
+        // accounting: the cluster accessed what its shards billed, as of
+        // each shard's last response — no extra round, dead or alive
         let mut stats = StepStats::default();
-        for shard in 0..shards {
-            if !dead[shard] {
-                match self.call(
-                    shard,
-                    &protocol::stats_request(session, false),
-                    Some(&opens[shard]),
-                ) {
-                    Ok(response) => {
-                        stats.accessed += protocol::req_usize(&response, "accessed")?;
-                        stats.fetches += protocol::req_usize(&response, "fetches")?;
-                        stats.fetched_cum += protocol::req_usize(&response, "fetched_tuples")?;
-                        stats.reused_cum += protocol::req_usize(&response, "reused_tuples")?;
-                        continue;
-                    }
-                    Err(e) => self.degrade(e, shard, &mut dead, &mut outage)?,
-                }
-            }
-            stats.accessed += last_seen[shard].accessed;
-            stats.fetches += last_seen[shard].fetches;
-            stats.fetched_cum += last_seen[shard].fetched_cum;
-            stats.reused_cum += last_seen[shard].reused_cum;
+        for seen in &last_seen {
+            stats.accessed += seen.accessed;
+            stats.fetches += seen.fetches;
+            stats.fetched_cum += seen.fetched_cum;
+            stats.reused_cum += seen.reused_cum;
         }
 
         let partial = lost.iter().any(|&l| l);
@@ -1736,7 +1719,7 @@ mod tests {
     #[test]
     fn dead_shard_outside_the_plan_leaves_the_answer_exact_and_non_partial() {
         // a single-atom query over poi only touches poi's owner for data: a
-        // dead bystander shard fails its open/stats calls and is degraded
+        // dead bystander shard fails its open call and is degraded
         // away, but no fetch node or leaf is lost — the answer must stay
         // bit-for-bit exact and non-partial (outage still reported)
         let (mut cluster, faulty, single) = flaky_cluster(3, 3, FaultRates::uniform(0));
@@ -1780,5 +1763,117 @@ mod tests {
         assert_eq!(c2.answer.answers.digest(), s2.answer.answers.digest());
         assert_eq!(c2.eta.to_bits(), s2.eta.to_bits());
         assert!(!c2.answer.partial);
+    }
+
+    /// A transport that logs `(shard, op)` of every call on its way to the
+    /// shards, and refuses the calls matching `refuse`.
+    struct Recording {
+        inner: Arc<dyn ShardTransport>,
+        calls: std::sync::Mutex<Vec<(usize, String)>>,
+        refuse: std::sync::Mutex<Option<(usize, &'static str)>>,
+    }
+
+    impl Recording {
+        fn install(cluster: &mut ClusterHandle) -> Arc<Recording> {
+            let recording = Arc::new(Recording {
+                inner: Arc::clone(cluster.transport()),
+                calls: Default::default(),
+                refuse: Default::default(),
+            });
+            cluster.set_transport(Arc::clone(&recording) as Arc<dyn ShardTransport>);
+            recording
+        }
+
+        fn count(&self, op: &str) -> usize {
+            let calls = self.calls.lock().unwrap();
+            calls.iter().filter(|(_, o)| o == op).count()
+        }
+    }
+
+    impl ShardTransport for Recording {
+        fn call(&self, shard: usize, request: &Json) -> Result<Json> {
+            let op = request.get("op").and_then(Json::as_str).unwrap_or("?");
+            if *self.refuse.lock().unwrap() == Some((shard, op)) {
+                return Err(ClusterError::Transport {
+                    shard,
+                    message: format!("refused {op}"),
+                });
+            }
+            self.calls.lock().unwrap().push((shard, op.to_string()));
+            self.inner.call(shard, request)
+        }
+
+        fn shards(&self) -> usize {
+            self.inner.shards()
+        }
+    }
+
+    #[test]
+    fn healthy_answer_is_open_fetch_leaf_close_and_no_stats_round() {
+        let (mut cluster, _single) = cluster_and_single(3);
+        let recording = Recording::install(&mut cluster);
+        for query in [
+            single_atom_query(cluster.schema()), // its one leaf lives on one shard
+            join_query(cluster.schema()),        // its leaf spans two: merged here
+        ] {
+            recording.calls.lock().unwrap().clear();
+            let budget = cluster.catalog().budget(&ResourceSpec::FULL).unwrap();
+            let plan = Planner::new(cluster.catalog())
+                .plan_with_budget(&query, budget)
+                .unwrap();
+            let remote_leaves = plan
+                .leaves
+                .iter()
+                .filter(|leaf| cluster.sole_owner(&plan, leaf).unwrap().is_some())
+                .count();
+            cluster.answer(&query, ResourceSpec::FULL).unwrap();
+            assert_eq!(recording.count("open"), 3);
+            assert_eq!(recording.count("fetch"), plan.fetch.nodes.len());
+            assert_eq!(recording.count("leaf"), remote_leaves);
+            assert_eq!(recording.count("close"), 3);
+            let total = 3 + plan.fetch.nodes.len() + remote_leaves + 3;
+            assert_eq!(
+                recording.calls.lock().unwrap().len(),
+                total,
+                "no other call"
+            );
+        }
+    }
+
+    #[test]
+    fn a_shard_without_a_fetch_this_step_still_reports_its_session_totals() {
+        // Every atom gets a completion fetch, so a healthy shard never drops
+        // out of a plan; it goes a step without a fetch only when the shard
+        // its keys come from is lost. At 72 tuples the poi fetch (shard 1)
+        // is keyed by the person fragment (shard 0): refuse shard 0's fetch
+        // and shard 1 is opened but never fetched from, so its cumulative
+        // totals from step 1 can only come from the `open` response.
+        let (mut cluster, single) = cluster_and_single(3);
+        cluster.set_degraded_policy(DegradedPolicy::PartialAnswer);
+        cluster.set_retry_policy(RetryPolicy::fast());
+        let recording = Recording::install(&mut cluster);
+        let query = join_query(cluster.schema());
+        let schedule = RefinementSchedule::tuples(&[8, 72]).unwrap();
+        let mut cs = cluster.session(&query, schedule.clone()).unwrap();
+        let prepared = single.prepare(&query).unwrap();
+        let mut ss = prepared.session(schedule).unwrap();
+
+        let c1 = cs.next_step().unwrap().unwrap();
+        let s1 = ss.next_step().unwrap().unwrap();
+        assert!(s1.budget_spent > 0);
+        assert_eq!(c1.budget_spent, s1.budget_spent);
+        assert_eq!(c1.reused_tuples, s1.reused_tuples);
+
+        recording.calls.lock().unwrap().clear();
+        *recording.refuse.lock().unwrap() = Some((0, "fetch"));
+        let c2 = cs.next_step().unwrap().unwrap();
+        assert!(c2.answer.partial);
+        assert_eq!(c2.outage.as_ref().unwrap().lost_nodes, vec![0, 1]);
+        assert_eq!(recording.count("open"), 3);
+        assert_eq!(recording.count("fetch"), 0, "nobody was fetched from");
+        // nothing new was fetched or reused: the session totals are still
+        // the single-node session's after its first step
+        assert_eq!(c2.budget_spent, s1.budget_spent);
+        assert_eq!(c2.reused_tuples, 0);
     }
 }

@@ -2,21 +2,19 @@
 //!
 //! The coordinator records, per query: the budget allocation handed to each
 //! shard (tariff floor + proportional slack), the latency of every shard
-//! call (open/fetch/leaf/stats alike, as observed from the coordinator), and
+//! call (open/fetch/leaf/close alike, as observed from the coordinator), and
 //! the time spent merging shard leaf results into the final answer, and the
 //! fault-tolerance counters — retries, timeouts, reconnects and
 //! degraded-away shards per shard, plus how many answers went out flagged
-//! `partial`. The [`MetricsServer`] exposes the whole snapshot as JSON over
-//! a tiny single-threaded HTTP listener built on `beas-serve`'s http module.
+//! `partial`. The [`MetricsServer`] exposes the whole snapshot as JSON
+//! through `beas-serve`'s [`listen`]: a thread per connection, so an idle
+//! keep-alive scraper neither blocks other scrapes nor holds up shutdown.
 
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use beas_core::SloCounters;
-use beas_serve::http::{read_request, write_response, HttpError};
+use beas_serve::http::{error_body, listen, Listener, Request};
 use beas_serve::{Json, LatencyHistogram};
 
 use crate::error::Result;
@@ -291,103 +289,26 @@ impl ClusterMetrics {
 }
 
 /// A running `GET /metrics` endpoint. Shut down explicitly with
-/// [`MetricsServer::shutdown`] or implicitly on drop.
-#[derive(Debug)]
-pub struct MetricsServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl MetricsServer {
-    /// The bound address (useful with a `:0` bind).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stops the listener and joins its thread.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // unblock the accept loop
-        let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for MetricsServer {
-    fn drop(&mut self) {
-        self.stop_and_join();
-    }
-}
+/// [`Listener::shutdown`] or implicitly on drop.
+pub type MetricsServer = Listener;
 
 /// Serves `metrics` as JSON under `GET /metrics` on `bind`
 /// (e.g. `"127.0.0.1:0"`).
 pub fn serve_metrics(metrics: Arc<ClusterMetrics>, bind: &str) -> Result<MetricsServer> {
-    let listener = TcpListener::bind(bind)?;
-    let addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop_flag = Arc::clone(&stop);
-    let handle = std::thread::Builder::new()
-        .name("cluster-metrics".to_string())
-        .spawn(move || {
-            for stream in listener.incoming() {
-                if stop_flag.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                serve_one(&metrics, stream);
-            }
-        })?;
-    Ok(MetricsServer {
-        addr,
-        stop,
-        handle: Some(handle),
-    })
-}
-
-/// Answers requests on one connection until it closes.
-fn serve_one(metrics: &ClusterMetrics, stream: TcpStream) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut write_half = stream;
-    let mut reader = BufReader::new(read_half);
-    loop {
-        let request = match read_request(&mut reader, 16 * 1024) {
-            Ok(request) => request,
-            Err(HttpError::Closed) => return,
-            Err(_) => {
-                let _ = write_response(
-                    &mut write_half,
-                    400,
-                    "{\"error\":\"bad request\"}",
-                    false,
-                    &[],
-                );
-                return;
-            }
-        };
-        let keep_alive = request.keep_alive;
-        let (status, body) = if request.method == "GET" && request.path == "/metrics" {
+    let handler = move |request: &Request| {
+        if request.method == "GET" && request.path == "/metrics" {
             (200, metrics.to_json().to_string())
         } else {
-            (404, "{\"error\":\"not found\"}".to_string())
-        };
-        if write_response(&mut write_half, status, &body, keep_alive, &[]).is_err() || !keep_alive {
-            return;
+            (404, error_body("not found"))
         }
-    }
+    };
+    Ok(listen(bind, "cluster-metrics", 16 * 1024, handler)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpStream;
 
     #[test]
     fn metrics_snapshot_carries_allocation_latency_and_merge() {
@@ -502,5 +423,30 @@ mod tests {
         let (status, _) = fetch("/nope");
         assert_eq!(status, 404);
         server.shutdown();
+    }
+
+    #[test]
+    fn idle_keep_alive_scraper_blocks_neither_other_scrapes_nor_shutdown() {
+        use beas_serve::Client;
+        let metrics = Arc::new(ClusterMetrics::new(1));
+        let server = serve_metrics(metrics, "127.0.0.1:0").unwrap();
+        let timeout = Duration::from_secs(5);
+        // a scraper that connected, scraped once and went idle, connection open
+        let mut idle = Client::connect(server.addr(), timeout).unwrap();
+        assert_eq!(idle.get("/metrics").unwrap().status, 200);
+        // and one that connected and never sent a byte
+        let silent = TcpStream::connect(server.addr()).unwrap();
+        let mut second = Client::connect(server.addr(), timeout).unwrap();
+        assert_eq!(second.get("/metrics").unwrap().status, 200);
+        let start = std::time::Instant::now();
+        server.shutdown();
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "shutdown waited {:?} for idle connections",
+            start.elapsed()
+        );
+        // the idle connections were closed, not left half-open
+        assert!(idle.get("/metrics").is_err());
+        drop(silent);
     }
 }

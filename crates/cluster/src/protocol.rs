@@ -1,27 +1,36 @@
 //! The coordinator ↔ shard wire protocol, reusing `beas-serve`'s wire module
 //! (the same JSON query/relation/value encoding the HTTP front-end speaks).
 //!
-//! Four operations, all request/response JSON objects tagged by `"op"`:
+//! Five operations, all request/response JSON objects tagged by `"op"`:
 //!
 //! * `open` — `{op, session, budget, share, threads, min_shard_rows, query}`:
 //!   the shard plans the query itself against its copy of the cluster
 //!   catalog (planning is deterministic, so no plan ever crosses the wire)
-//!   and answers `{ok, shard, tariff, nodes, leaves}` — the coordinator
-//!   cross-checks these against its own plan.
+//!   and answers `{ok, shard, tariff, nodes, leaves}` plus the accounting
+//!   block — the coordinator cross-checks the plan shape against its own.
 //! * `fetch` — `{op, session, node, keys}`: run one fetch node's lookup
 //!   against the shard's partition under its budget share; answers
-//!   `{ok, relation, billed, fetches, fetched_tuples, reused_tuples}` — the
-//!   fragment plus the shard's running step accounting, so the coordinator
-//!   always holds last-known-good numbers should the shard die later.
+//!   `{ok, relation}` — the fragment — plus the accounting block.
 //!   A `fetch` retried after a lost response is served from the session's
 //!   per-step ledger without re-billing, so delivery is effectively
 //!   exactly-once for accounting purposes.
 //! * `leaf` — `{op, session, leaf}`: evaluate one SPC leaf whose atoms all
 //!   live on this shard; answers `{ok, relation, out_res, exact}` — the
 //!   canonical leaf result plus its η contribution (per-output resolutions).
-//! * `stats` / `close` — `{op, session}`: the shard's access accounting
-//!   (`{ok, accessed, fetches, fetched_tuples, reused_tuples}`); `close`
-//!   additionally drops the session.
+//! * `close` — `{op, session}`: drops the session.
+//! * `stats` — `{op, session}`: a read-only probe of the session's
+//!   accounting (`{ok, accessed, fetches, fetched_tuples, reused_tuples}`)
+//!   for operators and tests. The coordinator never sends it.
+//!
+//! **The accounting block** is `{billed, fetches, fetched_tuples,
+//! reused_tuples}`: tuples billed against the share and fetch operations run
+//! *this step* (both zero in an `open` response, which starts the step), and
+//! the tuples materialized and reused over the *whole session*. Only `open`
+//! and `fetch` change these numbers, and both responses carry them, so the
+//! coordinator's latest copy per shard is exact at every point of a step:
+//! it needs no accounting round at the end, a shard that dies mid-step
+//! still contributes what it did, and a shard that is opened but not
+//! fetched from in some step still reports its session totals.
 //!
 //! Failed responses are `{ok: false, error}` with an optional
 //! machine-readable `code` ([`err_response_code`]); [`NO_SESSION`] signals
@@ -72,7 +81,7 @@ pub fn leaf_request(session: u64, leaf: usize) -> Json {
     ])
 }
 
-/// Builds a `stats` (`close: false`) or `close` request.
+/// Builds a `stats` probe (`close: false`) or a `close` request.
 pub fn stats_request(session: u64, close: bool) -> Json {
     Json::obj(vec![
         (

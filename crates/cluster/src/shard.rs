@@ -14,7 +14,8 @@
 //! every op **idempotent at-least-once**: a `fetch` whose response was lost
 //! and is retried within the same step is served from the step's ledger
 //! without re-billing (`leaf` is naturally idempotent through the
-//! [`ExecState`] leaf cache; `stats` is read-only; `open` resets the step).
+//! [`ExecState`] leaf cache; `stats` is a read-only probe; `open` resets the
+//! step).
 //! An unknown session token answers the machine-readable
 //! [`NO_SESSION`](crate::protocol::NO_SESSION) code so the coordinator can
 //! re-establish affinity by re-opening. Idle sessions are **evicted** after
@@ -193,47 +194,38 @@ impl ShardNode {
             .with_threads(threads)
             .with_min_shard_rows(min_shard_rows);
         let mut sessions = self.sessions.lock().expect("sessions poisoned");
-        match sessions.get_mut(&session) {
-            // re-open = next refinement step (or an affinity-restoring retry):
-            // keep the fragment/leaf state, swap the plan and reset the step
-            // accounting
-            Some(open) => {
-                open.plan = plan;
-                open.fragments = fragments;
-                open.options = options;
-                open.share = share;
-                open.billed = 0;
-                open.fetch_ops = 0;
-                open.step_served.clear();
-                open.last_used = Instant::now();
-            }
-            None => {
-                sessions.insert(
-                    session,
-                    ShardSession {
-                        plan,
-                        state: ExecState::new(),
-                        fragments,
-                        options,
-                        share,
-                        billed: 0,
-                        fetch_ops: 0,
-                        step_served: HashMap::new(),
-                        last_used: Instant::now(),
-                    },
-                );
-            }
-        }
-        Ok(protocol::ok_response(vec![
+        // re-open = next refinement step (or an affinity-restoring retry):
+        // keep the fragment/leaf state with its cumulative counters, swap
+        // the plan and reset the step accounting
+        let state = sessions
+            .remove(&session)
+            .map_or_else(ExecState::new, |open| open.state);
+        let open = ShardSession {
+            plan,
+            state,
+            fragments,
+            options,
+            share,
+            billed: 0,
+            fetch_ops: 0,
+            step_served: HashMap::new(),
+            last_used: Instant::now(),
+        };
+        let mut fields = vec![
             ("shard", Json::Int(self.shard as i64)),
             ("tariff", Json::Int(tariff as i64)),
             ("nodes", Json::Int(nodes as i64)),
             ("leaves", Json::Int(leaves as i64)),
-        ]))
+        ];
+        fields.extend(Self::step_accounting(&open));
+        sessions.insert(session, open);
+        Ok(protocol::ok_response(fields))
     }
 
-    /// The step-accounting fields every `fetch` response carries, so the
-    /// coordinator always holds the shard's last-known-good numbers.
+    /// The accounting block every `open` and `fetch` response carries, so the
+    /// coordinator holds the shard's exact numbers from the first message of
+    /// a step on: this step's `billed`/`fetches` (zero right after `open`)
+    /// and the session-cumulative `fetched_tuples`/`reused_tuples`.
     fn step_accounting(open: &ShardSession) -> Vec<(&'static str, Json)> {
         vec![
             ("billed", Json::Int(open.billed as i64)),

@@ -6,7 +6,14 @@
 //! message is a `POST /shard` whose body is the request JSON, each response
 //! the response JSON — so the bytes on the wire are exactly the serialized
 //! messages [`InProcessTransport`](crate::InProcessTransport) round-trips in
-//! memory, and any HTTP client can poke a shard for debugging.
+//! memory, and any HTTP client can poke a shard for debugging. The server
+//! side is `beas_serve::http::listen`, the one accept and connection loop of
+//! the workspace: `TCP_NODELAY` on, and every message — request and response
+//! alike — written head and body in one buffer. A hop is then a loopback
+//! round trip (tens of microseconds); a second write per message on a socket
+//! without `NODELAY` would hold the body for the peer's delayed ACK, 40 ms
+//! per call. Shutdown ends every accepted connection, so a killed shard is
+//! gone from the coordinator's pool at once.
 //!
 //! The transport keeps a **connection pool** per shard (keep-alive, one
 //! connection per in-flight call), **reconnects automatically** when a
@@ -18,13 +25,12 @@
 //! by the coordinator's `no_session` re-open healing.
 
 use std::collections::VecDeque;
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use beas_serve::http::{read_request, write_response, HttpError};
+use beas_serve::http::{error_body, listen, Listener};
 use beas_serve::{parse_json, Client, Json};
 
 use crate::error::{ClusterError, Result};
@@ -36,118 +42,38 @@ use crate::transport::ShardTransport;
 /// with the query, not the data, so this is generous).
 const MAX_BODY: usize = 64 * 1024 * 1024;
 
-/// One [`ShardNode`] served over TCP. Thread-per-connection; dropping the
+/// One [`ShardNode`] served over TCP, a thread per connection. Dropping the
 /// server (or calling [`ShardServer::shutdown`]) closes the listener *and*
-/// severs every accepted connection, so a "killed" shard really disappears
+/// ends every accepted connection, so a "killed" shard really disappears
 /// from the coordinator's connection pool instead of lingering half-open.
 #[derive(Debug)]
 pub struct ShardServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    /// Accepted streams, retained (as clones) so shutdown can sever them.
-    conns: Arc<Mutex<Vec<TcpStream>>>,
-    handle: Option<std::thread::JoinHandle<()>>,
+    listener: Listener,
 }
 
 impl ShardServer {
     /// Serves `node` on `bind` (e.g. `"127.0.0.1:0"`).
     pub fn serve(node: Arc<ShardNode>, bind: &str) -> Result<Self> {
-        let listener = TcpListener::bind(bind)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-        let stop_accept = Arc::clone(&stop);
-        let conns_accept = Arc::clone(&conns);
-        let shard = node.shard();
-        let handle = std::thread::Builder::new()
-            .name(format!("shard-server-{shard}"))
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    if stop_accept.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    if let Ok(clone) = stream.try_clone() {
-                        conns_accept.lock().expect("conns poisoned").push(clone);
-                    }
-                    let node = Arc::clone(&node);
-                    let stop = Arc::clone(&stop_accept);
-                    let _ = std::thread::Builder::new()
-                        .name(format!("shard-conn-{shard}"))
-                        .spawn(move || serve_conn(&node, stream, &stop));
-                }
-            })?;
-        Ok(ShardServer {
-            addr,
-            stop,
-            conns,
-            handle: Some(handle),
-        })
+        let name = format!("shard-server-{}", node.shard());
+        let listener = listen(bind, &name, MAX_BODY, move |request| {
+            if request.method == "POST" && request.path == "/shard" {
+                let text = String::from_utf8_lossy(&request.body);
+                (200, node.handle_text(&text))
+            } else {
+                (404, error_body("not found"))
+            }
+        })?;
+        Ok(ShardServer { listener })
     }
 
     /// The bound address (useful with a `:0` bind).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.addr()
     }
 
-    /// Stops serving: closes the listener and severs every open connection.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // sever accepted connections so pooled clients see a dead socket
-        for conn in self.conns.lock().expect("conns poisoned").drain(..) {
-            let _ = conn.shutdown(std::net::Shutdown::Both);
-        }
-        // unblock the accept loop
-        let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for ShardServer {
-    fn drop(&mut self) {
-        self.stop_and_join();
-    }
-}
-
-/// Answers `POST /shard` requests on one connection until it closes.
-fn serve_conn(node: &ShardNode, stream: TcpStream, stop: &AtomicBool) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut write_half = stream;
-    let mut reader = BufReader::new(read_half);
-    while !stop.load(Ordering::SeqCst) {
-        let request = match read_request(&mut reader, MAX_BODY) {
-            Ok(request) => request,
-            Err(HttpError::Closed) => return,
-            Err(HttpError::Io(_)) => return,
-            Err(_) => {
-                let _ = write_response(
-                    &mut write_half,
-                    400,
-                    "{\"ok\":false,\"error\":\"bad request\"}",
-                    false,
-                    &[],
-                );
-                return;
-            }
-        };
-        let keep_alive = request.keep_alive;
-        let (status, body) = if request.method == "POST" && request.path == "/shard" {
-            let text = String::from_utf8_lossy(&request.body);
-            (200, node.handle_text(&text))
-        } else {
-            (404, "{\"ok\":false,\"error\":\"not found\"}".to_string())
-        };
-        if write_response(&mut write_half, status, &body, keep_alive, &[]).is_err() || !keep_alive {
-            return;
-        }
+    /// Stops serving: closes the listener and ends every open connection.
+    pub fn shutdown(self) {
+        self.listener.shutdown();
     }
 }
 
@@ -327,6 +253,7 @@ impl ShardTransport for TcpShardTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpListener;
 
     #[test]
     fn connect_to_dead_port_is_a_transport_error() {
@@ -345,5 +272,38 @@ mod tests {
                 || matches!(err, ClusterError::Timeout { shard: 0, .. }),
             "{err}"
         );
+    }
+
+    #[test]
+    fn a_shard_hop_does_not_wait_for_a_delayed_ack() {
+        use beas_relal::{Attribute, Database, DatabaseSchema, RelationSchema};
+        let schema = DatabaseSchema::new(vec![RelationSchema::new(
+            "poi",
+            vec![Attribute::categorical("city"), Attribute::int("stars")],
+        )]);
+        let cluster = crate::ClusterHandle::builder(Database::new(schema), 1)
+            .build()
+            .unwrap();
+        let server = ShardServer::serve(Arc::clone(&cluster.nodes()[0]), "127.0.0.1:0").unwrap();
+        let transport = TcpShardTransport::new(vec![server.addr()]);
+        // sequential calls reuse the one pooled keep-alive connection; with
+        // head and body in separate segments on a socket without NODELAY
+        // every call waited 40 ms for the peer's delayed ACK (8.8 s in all)
+        let ping = crate::protocol::stats_request(0, false);
+        let start = Instant::now();
+        for _ in 0..200 {
+            let response = transport.call(0, &ping).unwrap();
+            assert_eq!(
+                crate::protocol::error_code(&response),
+                Some(crate::protocol::NO_SESSION)
+            );
+        }
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "200 hops took {:?}",
+            start.elapsed()
+        );
+        assert_eq!(transport.endpoints[0].pool.lock().unwrap().len(), 1);
+        server.shutdown();
     }
 }

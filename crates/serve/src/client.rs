@@ -78,14 +78,12 @@ impl Client {
         body: Option<&str>,
     ) -> std::io::Result<Response> {
         let body = body.unwrap_or("");
-        let head = format!(
-            "{method} {path} HTTP/1.1\r\nhost: beas\r\ncontent-length: {}\r\ncontent-type: application/json\r\n\r\n",
+        // head and body in one write: see `http::write_response`
+        let message = format!(
+            "{method} {path} HTTP/1.1\r\nhost: beas\r\ncontent-length: {}\r\ncontent-type: application/json\r\n\r\n{body}",
             body.len()
         );
-        let stream = self.reader.get_mut();
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(body.as_bytes())?;
-        stream.flush()?;
+        self.reader.get_mut().write_all(message.as_bytes())?;
         self.read_response()
     }
 

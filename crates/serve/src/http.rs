@@ -2,9 +2,28 @@
 //! parsing with a hard body cap, `Expect: 100-continue` handling, keep-alive,
 //! and response writing. Just enough protocol for the JSON wire — TLS, HTTP/2
 //! and gRPC are ROADMAP follow-ups.
+//!
+//! Every server in the workspace serves its connections through the one loop
+//! here, `serve_connection`: `TCP_NODELAY` on, one request at a time off a
+//! keep-alive connection, and **one write per message** — head and body leave
+//! in a single buffer ([`write_response`]), because two writes are two
+//! segments and, without `NODELAY`, the second waits out the peer's delayed
+//! ACK (40 ms on Linux) of the first. Every open connection is registered in
+//! the server's `Connections`, so shutdown wakes the threads blocked on idle
+//! keep-alive connections at once instead of polling or waiting them out.
+//! [`listen`] puts an accept loop and a thread per connection in front of it
+//! for servers whose handler is a plain `Fn(&Request) -> (status, body)`
+//! (the cluster's shard and metrics endpoints); the query server keeps its
+//! bounded worker pool and calls `serve_connection` from each worker.
 
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
+
+use crate::json::Json;
 
 /// Maximum accepted size of the request head (request line + headers).
 const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -189,6 +208,28 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
+/// The head of a response: status line, content type, `framing` (the
+/// `content-length` or `transfer-encoding` line), extra headers, blank line.
+fn response_head(
+    status: u16,
+    framing: &str,
+    keep_alive: bool,
+    extra_headers: &[(&str, String)],
+) -> String {
+    let mut head = format!(
+        "HTTP/1.1 {status} {}\r\ncontent-type: application/json\r\n{framing}\r\n",
+        reason(status),
+    );
+    for (name, value) in extra_headers {
+        head.push_str(&format!("{name}: {value}\r\n"));
+    }
+    if !keep_alive {
+        head.push_str("connection: close\r\n");
+    }
+    head.push_str("\r\n");
+    head
+}
+
 /// Writes the head of a `Transfer-Encoding: chunked` response (for the
 /// streamed refinement frames of `POST /query/stream`). Frames follow via
 /// [`write_chunk`]; the body ends with [`finish_chunked`].
@@ -198,42 +239,29 @@ pub fn write_chunked_head(
     keep_alive: bool,
     extra_headers: &[(&str, String)],
 ) -> std::io::Result<()> {
-    let mut head = format!(
-        "HTTP/1.1 {status} {}\r\ncontent-type: application/json\r\ntransfer-encoding: chunked\r\n",
-        reason(status),
-    );
-    for (name, value) in extra_headers {
-        head.push_str(&format!("{name}: {value}\r\n"));
-    }
-    if !keep_alive {
-        head.push_str("connection: close\r\n");
-    }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.flush()
+    let framing = "transfer-encoding: chunked";
+    stream.write_all(response_head(status, framing, keep_alive, extra_headers).as_bytes())
 }
 
-/// Writes one chunk of a chunked response and flushes it, so the client sees
-/// the frame as soon as it is produced (anytime answers must not sit in a
-/// buffer until the final step).
+/// Writes one chunk of a chunked response — size line, data and terminator
+/// in a single write, so the client sees the frame as soon as it is produced
+/// (anytime answers must not sit in a buffer until the final step).
 pub fn write_chunk(stream: &mut TcpStream, data: &str) -> std::io::Result<()> {
     if data.is_empty() {
         return Ok(()); // an empty chunk would terminate the body
     }
-    stream.write_all(format!("{:x}\r\n", data.len()).as_bytes())?;
-    stream.write_all(data.as_bytes())?;
-    stream.write_all(b"\r\n")?;
-    stream.flush()
+    stream.write_all(format!("{:x}\r\n{data}\r\n", data.len()).as_bytes())
 }
 
 /// Terminates a chunked response (the zero-size chunk).
 pub fn finish_chunked(stream: &mut TcpStream) -> std::io::Result<()> {
-    stream.write_all(b"0\r\n\r\n")?;
-    stream.flush()
+    stream.write_all(b"0\r\n\r\n")
 }
 
-/// Writes one JSON response. `extra_headers` lets handlers attach e.g.
-/// `Retry-After`.
+/// Writes one JSON response, head and body in a single write: on a
+/// `TCP_NODELAY` socket two writes are two segments, and without it the
+/// second waits for the peer's delayed ACK of the first. `extra_headers`
+/// lets handlers attach e.g. `Retry-After`.
 pub fn write_response(
     stream: &mut TcpStream,
     status: u16,
@@ -241,19 +269,301 @@ pub fn write_response(
     keep_alive: bool,
     extra_headers: &[(&str, String)],
 ) -> std::io::Result<()> {
-    let mut head = format!(
-        "HTTP/1.1 {status} {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\n",
-        reason(status),
-        body.len()
-    );
-    for (name, value) in extra_headers {
-        head.push_str(&format!("{name}: {value}\r\n"));
+    let framing = format!("content-length: {}", body.len());
+    let mut message = response_head(status, &framing, keep_alive, extra_headers);
+    message.push_str(body);
+    stream.write_all(message.as_bytes())
+}
+
+/// The body of an error response: `{"error": message}`.
+pub fn error_body(message: &str) -> String {
+    Json::obj(vec![("error", Json::Str(message.to_string()))]).to_string()
+}
+
+/// The open connections of one server plus its stop flag: what shutdown needs
+/// to end every connection thread promptly.
+#[derive(Debug, Default)]
+pub(crate) struct Connections {
+    stopping: AtomicBool,
+    next_id: AtomicU64,
+    /// A clone of every connection being served, until its loop returns.
+    open: Mutex<HashMap<u64, TcpStream>>,
+}
+
+/// Removes a connection from its [`Connections`] when its loop returns.
+struct Registered<'a> {
+    conns: &'a Connections,
+    id: u64,
+}
+
+impl Drop for Registered<'_> {
+    fn drop(&mut self) {
+        if let Ok(mut open) = self.conns.open.lock() {
+            open.remove(&self.id);
+        }
     }
-    if !keep_alive {
-        head.push_str("connection: close\r\n");
+}
+
+impl Connections {
+    /// Whether [`Connections::stop`] was called.
+    pub(crate) fn stopping(&self) -> bool {
+        self.stopping.load(Ordering::SeqCst)
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
+
+    /// Marks the server as stopping and closes the read half of every open
+    /// connection: a thread blocked reading an idle connection sees end of
+    /// input and returns, one that is answering a request still delivers its
+    /// response first. Returns `false` when the server was stopping already.
+    pub(crate) fn stop(&self) -> bool {
+        if self.stopping.swap(true, Ordering::SeqCst) {
+            return false;
+        }
+        if let Ok(open) = self.open.lock() {
+            for stream in open.values() {
+                let _ = stream.shutdown(Shutdown::Read);
+            }
+        }
+        true
+    }
+
+    fn register(&self, stream: &TcpStream) -> std::io::Result<Registered<'_>> {
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let clone = stream.try_clone()?;
+        self.open
+            .lock()
+            .expect("a connection thread panicked holding the registry")
+            .insert(id, clone);
+        Ok(Registered { conns: self, id })
+    }
+}
+
+/// Serves one connection until the peer closes it, a read times out, an
+/// error, or shutdown: reads requests off the keep-alive connection and hands
+/// each to `respond`, which writes the response to the stream it is given
+/// (normally one [`write_response`]; the streamed route writes chunks). A
+/// request that cannot be parsed is answered `400`, one over `max_body` bytes
+/// `413`, and the connection closed — after either, the position in the byte
+/// stream is unknown. `timeout` bounds every read and write; `None` lets an
+/// idle connection stay open as long as the peer keeps it.
+pub(crate) fn serve_connection(
+    stream: TcpStream,
+    conns: &Connections,
+    max_body: usize,
+    timeout: Option<Duration>,
+    mut respond: impl FnMut(&Request, &mut TcpStream) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(timeout)?;
+    stream.set_write_timeout(timeout)?;
+    // registered before the stop flag is read: a connection `stop` did not
+    // see in the registry is one whose thread sees the flag here
+    let _registered = conns.register(&stream)?;
+    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut stream = stream;
+    while !conns.stopping() {
+        let request = match read_request(&mut reader, max_body) {
+            Ok(request) => request,
+            Err(HttpError::Closed) => return Ok(()),
+            Err(HttpError::Io(e)) => return Err(e),
+            Err(HttpError::Bad(message)) => {
+                return write_response(&mut stream, 400, &error_body(&message), false, &[]);
+            }
+            Err(HttpError::TooLarge { declared, limit }) => {
+                let message =
+                    format!("request body of {declared} bytes exceeds the {limit}-byte limit");
+                return write_response(&mut stream, 413, &error_body(&message), false, &[]);
+            }
+        };
+        respond(&request, &mut stream)?;
+        if !request.keep_alive {
+            break;
+        }
+    }
+    Ok(())
+}
+
+/// A running [`listen`] server. Shut down explicitly with
+/// [`Listener::shutdown`] or implicitly on drop.
+#[derive(Debug)]
+pub struct Listener {
+    addr: SocketAddr,
+    conns: Arc<Connections>,
+    accept: Option<std::thread::JoinHandle<()>>,
+}
+
+impl Listener {
+    /// The bound address (useful with a `:0` bind).
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Stops accepting, ends every open connection — a thread blocked
+    /// reading an idle one returns at once, a request in flight is still
+    /// answered — and joins the accept and connection threads.
+    pub fn shutdown(mut self) {
+        self.stop_and_join();
+    }
+
+    fn stop_and_join(&mut self) {
+        self.conns.stop();
+        // unblock the accept loop
+        let _ = TcpStream::connect(self.addr);
+        if let Some(accept) = self.accept.take() {
+            let _ = accept.join();
+        }
+    }
+}
+
+impl Drop for Listener {
+    fn drop(&mut self) {
+        self.stop_and_join();
+    }
+}
+
+/// Binds `bind` (e.g. `"127.0.0.1:0"`) and answers every request with
+/// `handler`'s `(status, body)`: one accept thread named `name`, one thread
+/// per connection running the shared connection loop with no idle timeout.
+pub fn listen<H>(bind: &str, name: &str, max_body: usize, handler: H) -> std::io::Result<Listener>
+where
+    H: Fn(&Request) -> (u16, String) + Send + Sync + 'static,
+{
+    let listener = TcpListener::bind(bind)?;
+    let addr = listener.local_addr()?;
+    let conns = Arc::new(Connections::default());
+    let accept_conns = Arc::clone(&conns);
+    let conn_name = format!("{name}-conn");
+    let accept = std::thread::Builder::new()
+        .name(name.to_string())
+        .spawn(move || {
+            let (conns, handler) = (&*accept_conns, &handler);
+            // the scope joins the connection threads when the loop ends
+            std::thread::scope(|scope| {
+                for stream in listener.incoming() {
+                    if conns.stopping() {
+                        break;
+                    }
+                    let Ok(stream) = stream else {
+                        // a persistent accept error (descriptor exhaustion)
+                        // must not spin; let connections finish and free some
+                        std::thread::sleep(Duration::from_millis(20));
+                        continue;
+                    };
+                    // if no thread can be spawned the connection is dropped
+                    let _ = std::thread::Builder::new()
+                        .name(conn_name.clone())
+                        .spawn_scoped(scope, move || {
+                            let _ = serve_connection(
+                                stream,
+                                conns,
+                                max_body,
+                                None,
+                                |request, stream| {
+                                    let (status, body) = handler(request);
+                                    write_response(stream, status, &body, request.keep_alive, &[])
+                                },
+                            );
+                        });
+                }
+            });
+        })?;
+    Ok(Listener {
+        addr,
+        conns,
+        accept: Some(accept),
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+    use std::sync::mpsc;
+
+    const TIMEOUT: Duration = Duration::from_secs(5);
+
+    fn echo_server() -> Listener {
+        listen("127.0.0.1:0", "echo", 64, |request| {
+            if request.path == "/echo" {
+                (200, String::from_utf8_lossy(&request.body).into_owned())
+            } else {
+                (404, error_body("not found"))
+            }
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn listen_serves_keep_alive_requests_and_rejects_bad_ones() {
+        let server = echo_server();
+        let mut client = Client::connect(server.addr(), TIMEOUT).unwrap();
+        for body in ["\"a\"", "\"bc\""] {
+            let response = client.post("/echo", body).unwrap();
+            assert_eq!((response.status, response.body.as_str()), (200, body));
+        }
+        assert_eq!(client.get("/nope").unwrap().status, 404);
+        // over the body cap: 413 naming both sizes, then the connection closes
+        let response = client.post("/echo", &"x".repeat(65)).unwrap();
+        assert_eq!(response.status, 413);
+        assert!(response.body.contains("65 bytes exceeds the 64-byte limit"));
+        assert_eq!(response.header("connection"), Some("close"));
+        assert!(client.get("/echo").is_err());
+        // not HTTP at all: 400, closed
+        let mut raw = TcpStream::connect(server.addr()).unwrap();
+        raw.write_all(b"EHLO\r\n\r\n").unwrap();
+        let mut text = String::new();
+        raw.read_to_string(&mut text).unwrap();
+        assert!(text.starts_with("HTTP/1.1 400 Bad Request\r\n"), "{text}");
+        // finished connections leave the registry
+        drop(client);
+        let deadline = std::time::Instant::now() + TIMEOUT;
+        while !server.conns.open.lock().unwrap().is_empty() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "registry never emptied"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_ends_idle_connections_but_answers_the_request_in_flight() {
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let release_rx = Mutex::new(release_rx);
+        let server = listen("127.0.0.1:0", "slow", 64, move |_| {
+            started_tx.send(()).unwrap();
+            release_rx.lock().unwrap().recv().unwrap();
+            (200, "\"done\"".to_string())
+        })
+        .unwrap();
+        let idle = TcpStream::connect(server.addr()).unwrap();
+        let addr = server.addr();
+        let in_flight = std::thread::spawn(move || {
+            let mut client = Client::connect(addr, TIMEOUT).unwrap();
+            let first = client.get("/").unwrap();
+            (first.status, first.body, client.get("/").is_err())
+        });
+        // the handler is running: stop, and only then let it answer
+        started_rx.recv().unwrap();
+        assert!(server.conns.stop());
+        release_tx.send(()).unwrap();
+        let (status, body, closed_after) = in_flight.join().unwrap();
+        assert_eq!((status, body.as_str()), (200, "\"done\""));
+        assert!(
+            closed_after,
+            "the connection must not serve another request"
+        );
+        let start = std::time::Instant::now();
+        server.shutdown();
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "{:?}",
+            start.elapsed()
+        );
+        // the idle connection was closed by the server, not left half-open
+        let mut idle = idle;
+        idle.set_read_timeout(Some(TIMEOUT)).unwrap();
+        assert_eq!(idle.read(&mut [0; 1]).unwrap(), 0);
+    }
 }

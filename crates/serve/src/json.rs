@@ -91,84 +91,86 @@ impl Json {
             _ => None,
         }
     }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Int(i) => out.push_str(&i.to_string()),
-            Json::Num(f) => write_f64(*f, out),
-            Json::Str(s) => write_string(s, out),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(pairs) => {
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_string(k, out);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
-        }
-    }
 }
 
 impl fmt::Display for Json {
     /// Compact JSON serialization (`value.to_string()` produces the wire
-    /// text).
+    /// text), written straight into the formatter: no intermediate buffer
+    /// and no per-number allocation.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut out = String::new();
-        self.write(&mut out);
-        f.write_str(&out)
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(true) => f.write_str("true"),
+            Json::Bool(false) => f.write_str("false"),
+            Json::Int(i) => write!(f, "{i}"),
+            Json::Num(n) => write_f64(*n, f),
+            Json::Str(s) => write_string(s, f),
+            Json::Arr(items) => {
+                f.write_str("[")?;
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(",")?;
+                    }
+                    item.fmt(f)?;
+                }
+                f.write_str("]")
+            }
+            Json::Obj(pairs) => {
+                f.write_str("{")?;
+                for (i, (k, v)) in pairs.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(",")?;
+                    }
+                    write_string(k, f)?;
+                    f.write_str(":")?;
+                    v.fmt(f)?;
+                }
+                f.write_str("}")
+            }
+        }
     }
 }
 
 /// Writes a float: shortest round-trip for finite values (with a forced `.0`
 /// on integral floats so they stay floats), tagged objects for non-finite.
-fn write_f64(f: f64, out: &mut String) {
-    if f.is_nan() {
-        out.push_str("{\"$f\":\"nan\"}");
-    } else if f == f64::INFINITY {
-        out.push_str("{\"$f\":\"inf\"}");
-    } else if f == f64::NEG_INFINITY {
-        out.push_str("{\"$f\":\"-inf\"}");
+fn write_f64(n: f64, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    if n.is_nan() {
+        f.write_str("{\"$f\":\"nan\"}")
+    } else if n == f64::INFINITY {
+        f.write_str("{\"$f\":\"inf\"}")
+    } else if n == f64::NEG_INFINITY {
+        f.write_str("{\"$f\":\"-inf\"}")
+    } else if n.fract() == 0.0 {
+        // `{}` never prints an exponent, so an integral value prints as bare
+        // digits and needs the `.0`
+        write!(f, "{n}.0")
     } else {
-        let s = format!("{f}");
-        let integral = !s.contains(['.', 'e', 'E']);
-        out.push_str(&s);
-        if integral {
-            out.push_str(".0");
-        }
+        write!(f, "{n}")
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+fn write_string(s: &str, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    f.write_str("\"")?;
+    // everything that needs escaping is ASCII, so the runs between escapes
+    // are whole characters and go out as one slice each
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
         }
+        f.write_str(&s[run..i])?;
+        run = i + 1;
+        match b {
+            b'"' => f.write_str("\\\""),
+            b'\\' => f.write_str("\\\\"),
+            b'\n' => f.write_str("\\n"),
+            b'\r' => f.write_str("\\r"),
+            b'\t' => f.write_str("\\t"),
+            _ => write!(f, "\\u{b:04x}"),
+        }?;
     }
-    out.push('"');
+    f.write_str(&s[run..])?;
+    f.write_str("\"")
 }
 
 /// A JSON parse error with a byte offset.
@@ -190,21 +192,18 @@ impl std::error::Error for JsonError {}
 
 /// Parses one JSON value, requiring the whole input to be consumed.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { input, pos: 0 };
     p.skip_ws();
     let value = p.value(0)?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.input.len() {
         return Err(p.err("trailing characters after JSON value"));
     }
     Ok(value)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    input: &'a str,
     pos: usize,
 }
 
@@ -216,8 +215,12 @@ impl<'a> Parser<'a> {
         }
     }
 
+    fn bytes(&self) -> &'a [u8] {
+        self.input.as_bytes()
+    }
+
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -252,7 +255,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, lit: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(value)
         } else {
@@ -276,8 +279,8 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
+        // a number is ASCII on both ends, so the slice is on char boundaries
+        let text = &self.input[start..self.pos];
         if float {
             text.parse::<f64>()
                 .map(Json::Num)
@@ -298,72 +301,67 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let code = self.hex4()?;
-                            // surrogate pairs: a high surrogate must be
-                            // followed by a low surrogate escape — anything
-                            // else is rejected, not silently misdecoded
-                            let c = if (0xD800..0xDC00).contains(&code) {
-                                if self.peek() == Some(b'\\') {
-                                    self.pos += 1;
-                                    self.expect(b'u')?;
-                                    let low = self.hex4()?;
-                                    if (0xDC00..0xE000).contains(&low) {
-                                        char::from_u32(
-                                            0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00),
-                                        )
-                                    } else {
-                                        None
-                                    }
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(code)
-                            };
-                            out.push(c.ok_or_else(|| self.err("invalid \\u escape"))?);
-                            continue;
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // consume one UTF-8 character
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            // the run up to the next `"` or `\` goes out as one slice: both
+            // are ASCII, so the run starts and ends on char boundaries
+            let start = self.pos;
+            self.pos += self.bytes()[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or_else(|| self.err("unterminated string"))?;
+            out.push_str(&self.input[start..self.pos]);
+            let closes = self.bytes()[self.pos] == b'"';
+            self.pos += 1;
+            if closes {
+                return Ok(out);
             }
+            let c = match self.peek() {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
+                Some(b'b') => '\u{8}',
+                Some(b'f') => '\u{c}',
+                Some(b'u') => {
+                    self.pos += 1;
+                    let code = self.hex4()?;
+                    // surrogate pairs: a high surrogate must be followed by
+                    // a low surrogate escape — anything else is rejected,
+                    // not silently misdecoded
+                    let c = if (0xD800..0xDC00).contains(&code) {
+                        if self.peek() == Some(b'\\') {
+                            self.pos += 1;
+                            self.expect(b'u')?;
+                            let low = self.hex4()?;
+                            if (0xDC00..0xE000).contains(&low) {
+                                char::from_u32(0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00))
+                            } else {
+                                None
+                            }
+                        } else {
+                            None
+                        }
+                    } else {
+                        char::from_u32(code)
+                    };
+                    out.push(c.ok_or_else(|| self.err("invalid \\u escape"))?);
+                    continue;
+                }
+                _ => return Err(self.err("invalid escape")),
+            };
+            out.push(c);
+            self.pos += 1;
         }
     }
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err(self.err("truncated \\u escape"));
-        }
-        let text = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("invalid \\u escape"))?;
+        // `get` also refuses a range that would split a multi-byte character
+        let text = self
+            .input
+            .get(self.pos..self.pos + 4)
+            .filter(|text| text.bytes().all(|b| b.is_ascii_hexdigit()))
+            .ok_or_else(|| self.err("invalid \\u escape"))?;
         let code = u32::from_str_radix(text, 16).map_err(|_| self.err("invalid \\u escape"))?;
         self.pos += 4;
         Ok(code)
@@ -520,5 +518,288 @@ mod tests {
         assert_eq!(v.get("z").and_then(Json::as_arr).map(|a| a.len()), Some(1));
         assert_eq!(v.get("w").and_then(Json::as_bool), Some(true));
         assert!(v.get("missing").is_none());
+    }
+
+    #[test]
+    fn unicode_escape_takes_hex_digits_only() {
+        // `from_str_radix` alone would take a sign
+        assert!(parse("\"\\u+123\"").is_err());
+        assert!(parse("\"\\u00é\"").is_err()); // 4 bytes that split a character
+        assert_eq!(parse("\"\\u00E9\"").unwrap(), Json::Str("é".to_string()));
+    }
+
+    #[test]
+    fn serializer_output_is_pinned() {
+        let v = Json::obj(vec![
+            (
+                "s",
+                Json::Str("a\"b\\c/\n\r\t\u{8}\u{c}\u{0}\u{1f} é世😀".to_string()),
+            ),
+            (
+                "i",
+                Json::Arr(vec![Json::Int(i64::MIN), Json::Int(i64::MAX)]),
+            ),
+            (
+                "f",
+                Json::Arr(vec![
+                    Json::Num(-0.0),
+                    Json::Num(1e21),
+                    Json::Num(2.5e-7),
+                    Json::Num(f64::NAN),
+                    Json::Num(f64::NEG_INFINITY),
+                ]),
+            ),
+        ]);
+        assert_eq!(
+            v.to_string(),
+            "{\"s\":\"a\\\"b\\\\c/\\n\\r\\t\\u0008\\u000c\\u0000\\u001f é世😀\",\
+             \"i\":[-9223372036854775808,9223372036854775807],\
+             \"f\":[-0.0,1000000000000000000000.0,0.00000025,{\"$f\":\"nan\"},{\"$f\":\"-inf\"}]}"
+        );
+        // the `.0` rule is "the shortest round-trip text has no `.`, `e` or
+        // `E`"; the serializer decides it from the value, so check the two
+        // agree across the whole exponent range
+        let mut rng = Rng(7);
+        for _ in 0..20_000 {
+            let f = f64::from_bits(rng.next());
+            if f.is_finite() {
+                let mut text = format!("{f}");
+                if !text.contains(['.', 'e', 'E']) {
+                    text.push_str(".0");
+                }
+                assert_eq!(Json::Num(f).to_string(), text);
+            }
+        }
+    }
+
+    /// splitmix64: the seeded source of the property tests.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// Characters that exercise every branch of the string scanner: plain
+    /// ASCII, everything with a short escape, other control characters, and
+    /// 2-, 3- and 4-byte UTF-8 (the last needs a surrogate pair as `\u`).
+    const CHARS: [char; 18] = [
+        'a', 'Z', ' ', '"', '\\', '/', '\n', '\r', '\t', '\u{8}', '\u{c}', '\u{0}', '\u{1f}', 'é',
+        'ß', '世', '😀', '𝄞',
+    ];
+
+    fn random_string(rng: &mut Rng) -> String {
+        (0..rng.below(12))
+            .map(|_| CHARS[rng.below(CHARS.len())])
+            .collect()
+    }
+
+    fn random_tree(rng: &mut Rng, depth: usize) -> Json {
+        match rng.below(if depth < 4 { 8 } else { 6 }) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.below(2) == 0),
+            2 => Json::Int(match rng.below(4) {
+                0 => i64::MIN,
+                1 => i64::MAX,
+                _ => rng.next() as i64 >> rng.below(64),
+            }),
+            3 => Json::Num(match rng.below(6) {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => f64::NEG_INFINITY,
+                3 => -0.0,
+                4 => rng.below(1000) as f64,
+                _ => f64::from_bits(rng.next()),
+            }),
+            4 | 5 => Json::Str(random_string(rng)),
+            6 => Json::Arr(
+                (0..rng.below(5))
+                    .map(|_| random_tree(rng, depth + 1))
+                    .collect(),
+            ),
+            _ => Json::Obj(
+                (0..rng.below(5))
+                    .map(|_| (random_string(rng), random_tree(rng, depth + 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// What `v`'s text parses back to: itself, except that non-finite floats
+    /// come back as the tagged `{"$f": …}` objects they were written as.
+    fn as_parsed(v: &Json) -> Json {
+        match v {
+            Json::Num(f) if !f.is_finite() => parse(&v.to_string()).unwrap(),
+            Json::Arr(items) => Json::Arr(items.iter().map(as_parsed).collect()),
+            Json::Obj(pairs) => Json::Obj(
+                pairs
+                    .iter()
+                    .map(|(k, v)| (k.clone(), as_parsed(v)))
+                    .collect(),
+            ),
+            other => other.clone(),
+        }
+    }
+
+    /// A second encoder, for the parser's sake: random whitespace and, per
+    /// character, a random choice among all the spellings JSON allows
+    /// (`\/`, `\b`, `\f`, `\uXXXX`, surrogate pairs) — forms the serializer
+    /// never emits.
+    fn spell(v: &Json, rng: &mut Rng, out: &mut String) {
+        let pad =
+            |rng: &mut Rng, out: &mut String| out.push_str(["", " ", "\n", "\t\r"][rng.below(4)]);
+        let string = |s: &str, rng: &mut Rng, out: &mut String| {
+            out.push('"');
+            for c in s.chars() {
+                let short = match c {
+                    '"' => Some("\\\""),
+                    '\\' => Some("\\\\"),
+                    '/' => Some("\\/"),
+                    '\n' => Some("\\n"),
+                    '\r' => Some("\\r"),
+                    '\t' => Some("\\t"),
+                    '\u{8}' => Some("\\b"),
+                    '\u{c}' => Some("\\f"),
+                    _ => None,
+                };
+                let must_escape = matches!(c, '"' | '\\');
+                match (rng.below(3), short) {
+                    (0, Some(short)) => out.push_str(short),
+                    (1, _) if !must_escape => out.push(c),
+                    _ => {
+                        for unit in c.encode_utf16(&mut [0; 2]) {
+                            let hex = format!("{unit:04x}");
+                            out.push_str("\\u");
+                            out.push_str(&if rng.below(2) == 0 {
+                                hex.to_uppercase()
+                            } else {
+                                hex
+                            });
+                        }
+                    }
+                }
+            }
+            out.push('"');
+        };
+        pad(rng, out);
+        match v {
+            Json::Str(s) => string(s, rng, out),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    spell(item, rng, out);
+                }
+                pad(rng, out);
+                out.push(']');
+            }
+            Json::Obj(pairs) => {
+                out.push('{');
+                for (i, (k, v)) in pairs.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    pad(rng, out);
+                    string(k, rng, out);
+                    pad(rng, out);
+                    out.push(':');
+                    spell(v, rng, out);
+                }
+                pad(rng, out);
+                out.push('}');
+            }
+            scalar => out.push_str(&scalar.to_string()),
+        }
+        pad(rng, out);
+    }
+
+    #[test]
+    fn random_trees_round_trip_and_damaged_text_is_an_error_not_a_panic() {
+        let mut rng = Rng(0xBEA5);
+        for case in 0..400 {
+            // a container at the top, so that every strict prefix is invalid
+            let tree = Json::Arr(vec![random_tree(&mut rng, 0), random_tree(&mut rng, 0)]);
+            let expected = as_parsed(&tree);
+            let text = tree.to_string();
+            let parsed = parse(&text).unwrap_or_else(|e| panic!("case {case}: {e} in {text}"));
+            assert_eq!(parsed, expected, "case {case}: {text}");
+            // float bits (PartialEq cannot tell -0.0 from 0.0) and Int/Num
+            assert_eq!(parsed.to_string(), text, "case {case}");
+
+            let mut spelled = String::new();
+            spell(&tree, &mut rng, &mut spelled);
+            let parsed =
+                parse(&spelled).unwrap_or_else(|e| panic!("case {case}: {e} in {spelled}"));
+            assert_eq!(parsed.to_string(), text, "case {case}: {spelled}");
+
+            for text in [&text, &spelled] {
+                let trimmed = text.trim_end();
+                for cut in (0..trimmed.len()).filter(|&i| text.is_char_boundary(i)) {
+                    assert!(
+                        parse(&text[..cut]).is_err(),
+                        "case {case}: prefix {cut} of {text}"
+                    );
+                }
+                for _ in 0..32 {
+                    let mut bytes = text.clone().into_bytes();
+                    let at = rng.below(bytes.len());
+                    bytes[at] ^= 1 << rng.below(8);
+                    // damage that is still UTF-8 may even be valid JSON;
+                    // whatever it is, parsing it must return
+                    if let Ok(damaged) = String::from_utf8(bytes) {
+                        if let Ok(v) = parse(&damaged) {
+                            assert_eq!(parse(&v.to_string()).unwrap(), as_parsed(&v));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn parse_time_is_linear_in_document_size() {
+        // string-heavy, like a shard's fragment response: rows of short
+        // strings, some with escapes and multi-byte characters
+        let document = |bytes: usize| {
+            let row = r#"["lineitem","1996-03-13","TRUCK","DELIVER IN PERSON","caf\u00e9 — 世界","a\"b"]"#;
+            let rows = vec![row; bytes / (row.len() + 1)];
+            format!("[{}]", rows.join(","))
+        };
+        // the fastest of five: a stall lands in one run, not in all
+        let fastest = |text: &str, repeats: usize| {
+            (0..5)
+                .map(|_| {
+                    let start = std::time::Instant::now();
+                    for _ in 0..repeats {
+                        std::hint::black_box(parse(std::hint::black_box(text)).unwrap());
+                    }
+                    start.elapsed()
+                })
+                .min()
+                .unwrap()
+        };
+        // the same number of bytes on both sides, so that both timed blocks
+        // are equally exposed to whatever else the machine is running
+        let (small, large) = (document(64 << 10), document(1 << 20));
+        let (t_small, t_large) = (fastest(&small, 16), fastest(&large, 1));
+        // a scanner that revalidates the rest of the input per character
+        // takes ≈ 16× as long on the large document
+        assert!(
+            t_large <= t_small * 2,
+            "16 × {} bytes parse in {t_small:?}, {} bytes in {t_large:?}",
+            small.len(),
+            large.len()
+        );
     }
 }

@@ -41,6 +41,7 @@
 //! ```
 //!
 //! See the module docs for the pieces: [`server`] (routes and worker pool),
+//! [`http`] (the one connection loop every server in the workspace runs),
 //! [`admission`] (token buckets, in-flight caps, bounded queues),
 //! [`wire`] (the JSON query/answer format), [`metrics`] (per-tenant
 //! counters + latency histograms), [`json`] (the std-only JSON value) and

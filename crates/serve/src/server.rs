@@ -1,6 +1,8 @@
 //! The serving front-end: a `TcpListener` worker pool speaking the JSON wire
 //! protocol over HTTP/1.1 keep-alive connections, with per-tenant
-//! budget-aware admission control in front of the engine.
+//! budget-aware admission control in front of the engine. Each worker accepts
+//! a connection and serves it through `http::serve_connection`, so
+//! [`ServeConfig::workers`] bounds the connections served at once.
 //!
 //! # Endpoints
 //!
@@ -37,9 +39,8 @@
 //! stream.
 
 use std::collections::HashMap;
-use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
@@ -49,8 +50,8 @@ use beas_relal::ValueType;
 
 use crate::admission::{Rejection, Tenant, TenantPolicy, TenantRegistry};
 use crate::http::{
-    finish_chunked, read_request, write_chunk, write_chunked_head, write_response, HttpError,
-    Request,
+    error_body, finish_chunked, serve_connection, write_chunk, write_chunked_head, write_response,
+    Connections, Request,
 };
 use crate::json::{parse, Json};
 use crate::metrics::TenantMetrics;
@@ -155,7 +156,7 @@ struct ServerState {
 /// handle shuts the server down.
 pub struct RunningServer {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    conns: Arc<Connections>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -174,13 +175,14 @@ impl RunningServer {
         self.addr
     }
 
-    /// Stops accepting, wakes the workers and joins them.
+    /// Stops accepting, ends idle keep-alive connections (a request in
+    /// flight is still answered), wakes the workers and joins them.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
 
     fn stop_and_join(&mut self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
+        if !self.conns.stop() {
             return;
         }
         // wake every worker blocked in accept()
@@ -229,7 +231,7 @@ pub fn serve(engine: ServeHandle, config: ServeConfig) -> std::io::Result<Runnin
         started: Instant::now(),
         config: config.clone(),
     });
-    let stop = Arc::new(AtomicBool::new(false));
+    let conns = Arc::new(Connections::default());
 
     // clone all listener handles *before* spawning anything: a partial
     // failure must not leave orphan worker threads behind an Err return
@@ -241,27 +243,28 @@ pub fn serve(engine: ServeHandle, config: ServeConfig) -> std::io::Result<Runnin
         .enumerate()
         .map(|(i, listener)| {
             let state = Arc::clone(&state);
-            let stop = Arc::clone(&stop);
+            let conns = Arc::clone(&conns);
             std::thread::Builder::new()
                 .name(format!("beas-serve-{i}"))
-                .spawn(move || worker_loop(listener, state, stop))
+                .spawn(move || worker_loop(listener, &state, &conns))
                 .expect("spawn worker")
         })
         .collect::<Vec<_>>();
 
     Ok(RunningServer {
         addr,
-        stop,
+        conns,
         workers,
     })
 }
 
-/// One worker: accept → serve the connection's keep-alive request sequence →
-/// accept again, until shutdown.
-fn worker_loop(listener: TcpListener, state: Arc<ServerState>, stop: Arc<AtomicBool>) {
+/// One worker: accept → serve the connection's keep-alive request sequence
+/// through the shared `serve_connection` loop → accept again, until
+/// shutdown.
+fn worker_loop(listener: TcpListener, state: &ServerState, conns: &Connections) {
     loop {
         let Ok((stream, _)) = listener.accept() else {
-            if stop.load(Ordering::SeqCst) {
+            if conns.stopping() {
                 return;
             }
             // a persistent accept error (e.g. fd exhaustion) must not
@@ -270,93 +273,37 @@ fn worker_loop(listener: TcpListener, state: Arc<ServerState>, stop: Arc<AtomicB
             std::thread::sleep(Duration::from_millis(20));
             continue;
         };
-        if stop.load(Ordering::SeqCst) {
+        if conns.stopping() {
             return;
         }
-        let _ = serve_connection(stream, &state, &stop);
+        let config = &state.config;
+        let _ = serve_connection(
+            stream,
+            conns,
+            config.max_body_bytes,
+            Some(config.read_timeout),
+            |request, stream| respond(state, request, stream),
+        );
     }
 }
 
-/// Serves one connection until close, idle timeout, error or shutdown.
-fn serve_connection(
-    stream: TcpStream,
-    state: &ServerState,
-    stop: &AtomicBool,
-) -> std::io::Result<()> {
-    use std::io::BufRead;
-    stream.set_write_timeout(Some(state.config.read_timeout))?;
-    stream.set_nodelay(true)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut stream = stream;
-    // while idle between requests, poll in short slices so shutdown is
-    // prompt even with live keep-alive connections
-    let poll = Duration::from_millis(200).min(state.config.read_timeout);
-    loop {
-        stream.set_read_timeout(Some(poll))?;
-        let idle_since = Instant::now();
-        loop {
-            if stop.load(Ordering::SeqCst) {
-                return Ok(());
-            }
-            if idle_since.elapsed() > state.config.read_timeout {
-                return Ok(()); // idle keep-alive expired
-            }
-            match reader.fill_buf() {
-                Ok([]) => return Ok(()), // client closed
-                Ok(_) => break,          // a request is arriving
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    continue
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        // the request head/body reads use the full timeout
-        stream.set_read_timeout(Some(state.config.read_timeout))?;
-        let request = match read_request(&mut reader, state.config.max_body_bytes) {
-            Ok(request) => request,
-            Err(HttpError::Closed) => return Ok(()),
-            Err(HttpError::Io(e)) => return Err(e),
-            Err(HttpError::Bad(msg)) => {
-                // the request head is unreliable: respond and close
-                let body = error_body(&msg);
-                return write_response(&mut stream, 400, &body, false, &[]);
-            }
-            Err(HttpError::TooLarge { declared, limit }) => {
-                let body = error_body(&format!(
-                    "request body of {declared} bytes exceeds the {limit}-byte limit"
-                ));
-                return write_response(&mut stream, 413, &body, false, &[]);
-            }
-        };
-        let keep_alive = request.keep_alive;
-        let path = request.path.split('?').next().unwrap_or("");
-        if request.method == "POST" && path == "/query/stream" {
-            // the streamed route writes its chunked frames directly; a write
-            // failure below means the client disconnected mid-session (the
-            // handler has already refunded the unconsumed steps)
-            stream_query(state, &request, &mut stream)?;
-            if !keep_alive {
-                return Ok(());
-            }
-            continue;
-        }
-        let reply = cap_response(state, path, handle(state, &request));
-        write_response(
-            &mut stream,
-            reply.status,
-            &reply.body,
-            keep_alive,
-            &reply.headers,
-        )?;
-        if !keep_alive {
-            return Ok(());
-        }
+/// Answers one request on `stream`.
+fn respond(state: &ServerState, request: &Request, stream: &mut TcpStream) -> std::io::Result<()> {
+    let path = request.path.split('?').next().unwrap_or("");
+    if request.method == "POST" && path == "/query/stream" {
+        // the streamed route writes its chunked frames directly; a write
+        // failure means the client disconnected mid-session (the handler
+        // has already refunded the unconsumed steps)
+        return stream_query(state, request, stream);
     }
+    let reply = cap_response(state, path, handle(state, request));
+    write_response(
+        stream,
+        reply.status,
+        &reply.body,
+        request.keep_alive,
+        &reply.headers,
+    )
 }
 
 /// The response twin of the request-body cap: a successful non-streamed
@@ -403,10 +350,6 @@ impl Reply {
             headers: Vec::new(),
         }
     }
-}
-
-fn error_body(message: &str) -> String {
-    Json::obj(vec![("error", Json::Str(message.to_string()))]).to_string()
 }
 
 /// Routes one request.
