@@ -6,13 +6,13 @@
 //! ```
 //!
 //! With no arguments, every figure is produced under the quick profile.
-//! `--full` switches to the larger profile used for EXPERIMENTS.md.
+//! `--full` switches to the larger profile (minutes). Serving latency and
+//! throughput are measured by the benchmark in `benchmark/`, not here.
 
 use beas_bench::figures::{
     all_figures, fig6_accuracy_vs_alpha, fig6d_mac_vs_alpha, fig6ef_accuracy_vs_scale,
     fig6g_accuracy_vs_sel, fig6h_accuracy_vs_prod, fig6i_accuracy_vs_kind, fig6j_exact_ratio,
-    fig6k_index_size, fig6l_efficiency, fig_concurrency, fig_kernels, fig_plan_cache,
-    fig_refinement, fig_serving, fig_slo, DatasetId,
+    fig6k_index_size, fig6l_efficiency, fig_kernels, fig_slo, DatasetId,
 };
 use beas_bench::harness::Metric;
 use beas_bench::{BenchProfile, Table};
@@ -88,17 +88,13 @@ fn main() {
                 "fig6j" => tables.push(fig6j_exact_ratio(&profile)),
                 "fig6k" => tables.push(fig6k_index_size(&profile)),
                 "fig6l" => tables.push(fig6l_efficiency(&profile)),
-                "plancache" => tables.push(fig_plan_cache(&profile)),
                 "kernel" => tables.push(fig_kernels(&profile)),
-                "concurrency" => tables.push(fig_concurrency(&profile)),
-                "serving" => tables.push(fig_serving(&profile)),
-                "refinement" => tables.push(fig_refinement(&profile)),
                 "cluster" => tables.push(beas_bench::cluster::fig_cluster(&profile)),
                 "slo" => tables.push(fig_slo(&profile)),
                 other => {
                     eprintln!("unknown figure id: {other}");
                     eprintln!(
-                        "known ids: fig6a fig6b fig6c fig6d fig6e fig6f fig6g fig6h fig6i fig6j fig6k fig6l plancache kernel concurrency serving refinement cluster slo all"
+                        "known ids: fig6a fig6b fig6c fig6d fig6e fig6f fig6g fig6h fig6i fig6j fig6k fig6l kernel cluster slo all"
                     );
                     std::process::exit(2);
                 }

@@ -1,4 +1,4 @@
-//! A closed-loop load generator for a running `beas-serve` server.
+//! A closed-loop contract checker for a `beas-serve` server or a cluster.
 //!
 //! ```text
 //! # against a running server
@@ -16,22 +16,59 @@
 //!
 //! Each client keeps one HTTP/1.1 keep-alive connection and issues
 //! `POST /query` requests back-to-back (closed loop) with the demo query;
-//! the report shows per-status counts, throughput and the latency
-//! distribution, plus whether every served answer's re-computed digest
-//! matched across the run. Specs are parsed with the canonical
-//! [`ResourceSpec`] grammar (`ratio:<alpha>` / `tuples:<n>`).
+//! the report shows per-status counts and whether every served answer's
+//! digest matched across the run, and `--eta` runs exit non-zero on any
+//! answer that claims feasibility below its target. Latency and throughput
+//! are measured by the `serve_http` and `cluster_tcp` workloads of
+//! `benchmark/`, not here. Specs are parsed with the canonical
+//! [`ResourceSpec`] grammar (`ratio:<alpha>` / `tuples:<n>`). A flag that
+//! cannot be honoured in the chosen mode is refused with exit 2.
 
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Display;
 use std::net::SocketAddr;
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::str::FromStr;
+use std::time::Duration;
 
 use beas_bench::serving::{demo_engine, demo_query_json};
 use beas_core::{AccuracyTarget, ResourceSpec, ServeHandle};
-use beas_serve::{query_body, serve, target_body, Client, Json, ServeConfig, TenantPolicy};
+use beas_serve::{
+    query_body, serve, target_body, Client, Json, RunningServer, ServeConfig, TenantPolicy,
+};
+
+const USAGE: &str = "usage: loadgen [--url host:port | --self-host | --cluster N [--flaky]] \
+     [--tenant NAME] [--spec ratio:0.05 | --eta 0.95] [--clients N] \
+     [--requests N] [--rows N] [--store DIR] [--updates N] [--linger]";
+
+/// Flags a mode cannot honour: `(mode flag, flags it excludes, why)`.
+const CONFLICTS: [(&str, &[&str], &str); 3] = [
+    (
+        "--url",
+        &["--self-host", "--store", "--updates"],
+        "--url targets a running server; --self-host, --store and --updates start one in process",
+    ),
+    (
+        "--cluster",
+        &[
+            "--url",
+            "--self-host",
+            "--store",
+            "--updates",
+            "--tenant",
+            "--linger",
+        ],
+        "the cluster loop drives an in-memory coordinator, with no HTTP server, store or tenant",
+    ),
+    (
+        "--cluster",
+        &["--eta"],
+        "--eta drives the HTTP serving path; combine it with --self-host or --url \
+         (the cluster loop is budget-denominated)",
+    ),
+];
 
 struct Args {
     url: Option<String>,
-    self_host: bool,
     cluster: Option<usize>,
     flaky: bool,
     tenant: Option<String>,
@@ -104,10 +141,20 @@ impl EtaStats {
     }
 }
 
-fn parse_args() -> Args {
+/// Parses one flag value, naming the flag in the error.
+fn parsed<T: FromStr>(flag: &str, text: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    text.parse()
+        .map_err(|e| format!("bad {flag} `{text}`: {e}"))
+}
+
+/// Parses the arguments after the program name. Every error, including a
+/// flag the chosen mode cannot honour, is a message for exit code 2.
+fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         url: None,
-        self_host: false,
         cluster: None,
         flaky: false,
         tenant: None,
@@ -120,190 +167,74 @@ fn parse_args() -> Args {
         updates: 0,
         linger: false,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let value = |argv: &[String], i: usize, flag: &str| -> String {
-        argv.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("{flag} needs a value");
-            std::process::exit(2);
-        })
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--url" => {
-                args.url = Some(value(&argv, i, "--url"));
-                i += 2;
-            }
-            "--self-host" => {
-                args.self_host = true;
-                i += 1;
-            }
-            "--cluster" => {
-                args.cluster = Some(value(&argv, i, "--cluster").parse().expect("--cluster"));
-                i += 2;
-            }
-            "--flaky" => {
-                args.flaky = true;
-                i += 1;
-            }
-            "--tenant" => {
-                args.tenant = Some(value(&argv, i, "--tenant"));
-                i += 2;
-            }
-            "--spec" => {
-                let text = value(&argv, i, "--spec");
-                args.spec = text.parse().unwrap_or_else(|e| {
-                    eprintln!("bad --spec `{text}`: {e}");
-                    std::process::exit(2);
-                });
-                i += 2;
-            }
+    let mut given: Vec<&str> = Vec::new();
+    let mut rest = argv.iter();
+    while let Some(flag) = rest.next() {
+        let flag = flag.as_str();
+        let mut value = || {
+            rest.next()
+                .map(String::as_str)
+                .ok_or_else(|| format!("{flag} needs a value"))
+        };
+        match flag {
+            "--url" => args.url = Some(value()?.to_string()),
+            // self-hosting is the mode without --url; the flag only makes it explicit
+            "--self-host" => {}
+            "--cluster" => args.cluster = Some(parsed(flag, value()?)?),
+            "--flaky" => args.flaky = true,
+            "--tenant" => args.tenant = Some(value()?.to_string()),
+            "--spec" => args.spec = parsed(flag, value()?)?,
             "--eta" => {
-                let text = value(&argv, i, "--eta");
                 // accept both the bare value (`0.95`) and the canonical
                 // target form (`eta:0.95@ratio:0.5`)
-                let parsed = if text.contains(':') {
-                    text.parse::<AccuracyTarget>()
+                let text = value()?;
+                let target = if text.contains(':') {
+                    parsed(flag, text)?
                 } else {
-                    text.parse::<f64>()
-                        .map_err(|_| {
-                            beas_access::AccessError::InvalidSpec(format!(
-                                "accuracy target must be a finite number in (0, 1], got `{text}`"
-                            ))
-                        })
-                        .and_then(AccuracyTarget::new)
+                    AccuracyTarget::new(parsed(flag, text)?)
+                        .map_err(|e| format!("bad {flag} `{text}`: {e}"))?
                 };
-                args.eta = Some(parsed.unwrap_or_else(|e| {
-                    eprintln!("bad --eta `{text}`: {e}");
-                    std::process::exit(2);
-                }));
-                i += 2;
+                args.eta = Some(target);
             }
-            "--clients" => {
-                args.clients = value(&argv, i, "--clients").parse().expect("--clients");
-                i += 2;
-            }
-            "--requests" => {
-                args.requests = value(&argv, i, "--requests").parse().expect("--requests");
-                i += 2;
-            }
-            "--rows" => {
-                args.rows = value(&argv, i, "--rows").parse().expect("--rows");
-                i += 2;
-            }
-            "--store" => {
-                args.store = Some(value(&argv, i, "--store").into());
-                i += 2;
-            }
-            "--updates" => {
-                args.updates = value(&argv, i, "--updates").parse().expect("--updates");
-                i += 2;
-            }
-            "--linger" => {
-                args.linger = true;
-                i += 1;
-            }
-            other => {
-                eprintln!("unknown argument `{other}`");
-                eprintln!(
-                    "usage: loadgen [--url host:port | --self-host | --cluster N [--flaky]] \
-                     [--tenant NAME] [--spec ratio:0.05 | --eta 0.95] [--clients N] \
-                     [--requests N] [--rows N] [--store DIR] [--updates N] [--linger]"
-                );
-                std::process::exit(2);
-            }
+            "--clients" => args.clients = parsed(flag, value()?)?,
+            "--requests" => args.requests = parsed(flag, value()?)?,
+            "--rows" => args.rows = parsed(flag, value()?)?,
+            "--store" => args.store = Some(value()?.into()),
+            "--updates" => args.updates = parsed(flag, value()?)?,
+            "--linger" => args.linger = true,
+            other => return Err(format!("unknown argument `{other}`\n{USAGE}")),
+        }
+        given.push(flag);
+    }
+    for (mode, excluded, why) in CONFLICTS.iter().filter(|(mode, ..)| given.contains(mode)) {
+        if let Some(flag) = excluded.iter().find(|flag| given.contains(flag)) {
+            return Err(format!("{mode} cannot be combined with {flag}: {why}"));
         }
     }
-    if args.eta.is_some() && args.cluster.is_some() {
-        eprintln!(
-            "--eta drives the HTTP serving path; combine it with --self-host or --url \
-             (the cluster loop is budget-denominated)"
-        );
-        std::process::exit(2);
+    if args.flaky && args.cluster.is_none() {
+        return Err("--flaky injects faults into the cluster transport; it needs --cluster".into());
     }
-    args
+    Ok(args)
 }
 
 fn main() {
-    let args = parse_args();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&argv).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     if let Some(shards) = args.cluster {
         run_cluster(&args, shards);
         return;
     }
 
-    // self-hosted mode: demo engine + server in process; the requested
-    // tenant name (if any) is registered so `--tenant` keeps working.
-    // With `--store DIR` the demo engine is durable: an existing store is
-    // warm-opened (snapshot + WAL replay), otherwise the freshly built
-    // engine is persisted there; `--updates N` applies N logged update
-    // batches before any query runs.
-    let hosted = if args.self_host || args.store.is_some() || args.url.is_none() {
-        let demo = match &args.store {
-            Some(dir) => {
-                let (demo, replayed) = beas_bench::serving::demo_engine_durable(args.rows, dir);
-                match replayed {
-                    Some(replayed) => println!("store: warm replayed={replayed}"),
-                    None => println!("store: cold"),
-                }
-                demo
-            }
-            None => demo_engine(args.rows),
-        };
-        for round in 0..args.updates {
-            let batch = (0..10i64).fold(beas_core::UpdateBatch::new(), |batch, i| {
-                batch.insert(
-                    "poi",
-                    vec![
-                        beas_relal::Value::from(format!("{round}/{i} Update Ave")),
-                        beas_relal::Value::from("hotel"),
-                        beas_relal::Value::from("NYC"),
-                        beas_relal::Value::Double(40.0 + (round as i64 * 10 + i) as f64),
-                    ],
-                )
-            });
-            demo.engine.apply_update(&batch).expect("update batch");
+    let (hosted, addr) = match &args.url {
+        Some(url) => (None, resolve(url)),
+        None => {
+            let server = self_host(&args);
+            let addr = server.addr();
+            (Some(server), addr)
         }
-        if args.updates > 0 {
-            println!(
-                "applied {} update batches before serving (|D| = {})",
-                args.updates,
-                demo.engine.database().total_tuples()
-            );
-        }
-        let tenant = args.tenant.as_deref().unwrap_or("loadgen");
-        let server = serve(
-            ServeHandle::new(demo.engine),
-            ServeConfig::default()
-                .workers(args.clients.max(2) + 2)
-                .tenant(tenant, TenantPolicy::with_rate(1e12, 1e12))
-                .default_tenant(tenant),
-        )
-        .expect("start self-hosted server");
-        println!("self-hosted demo server on http://{}", server.addr());
-        Some(server)
-    } else {
-        None
-    };
-    let addr: SocketAddr = match (&hosted, &args.url) {
-        (Some(server), _) => server.addr(),
-        (None, Some(url)) => {
-            // ToSocketAddrs resolves hostnames (`localhost:8642`), not just
-            // IP literals
-            use std::net::ToSocketAddrs;
-            let host_port = url.trim_start_matches("http://").trim_end_matches('/');
-            host_port
-                .to_socket_addrs()
-                .unwrap_or_else(|e| {
-                    eprintln!("cannot resolve --url `{host_port}`: {e}");
-                    std::process::exit(2);
-                })
-                .next()
-                .unwrap_or_else(|| {
-                    eprintln!("--url `{host_port}` resolved to no address");
-                    std::process::exit(2);
-                })
-        }
-        _ => unreachable!(),
     };
 
     let body = match &args.eta {
@@ -312,69 +243,54 @@ fn main() {
         Some(target) => target_body(args.tenant.as_deref(), target, &demo_query_json()),
         None => query_body(args.tenant.as_deref(), args.spec, &demo_query_json()),
     };
-    let status_counts = Mutex::new(std::collections::BTreeMap::<u16, usize>::new());
-    let latencies = Mutex::new(Vec::<Duration>::new());
-    let digests = Mutex::new(std::collections::BTreeSet::<String>::new());
-    let eta_stats = Mutex::new(EtaStats::default());
-
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..args.clients.max(1) {
-            scope.spawn(|| {
-                let mut client = Client::connect(addr, Duration::from_secs(30)).expect("connect");
-                let mut local_latencies = Vec::with_capacity(args.requests);
-                let mut local_counts = std::collections::BTreeMap::<u16, usize>::new();
-                let mut local_digests = std::collections::BTreeSet::new();
-                let mut local_eta = EtaStats::default();
-                for _ in 0..args.requests {
-                    let t = Instant::now();
-                    match client.post("/query", &body) {
-                        Ok(response) => {
-                            local_latencies.push(t.elapsed());
-                            *local_counts.entry(response.status).or_default() += 1;
-                            if response.status == 200 {
-                                if let Ok(v) = response.json() {
-                                    if let Some(digest) = v.get("digest").and_then(Json::as_str) {
-                                        local_digests.insert(digest.to_string());
-                                    }
-                                    if let Some(target) = &args.eta {
-                                        local_eta.absorb(&v, target.eta);
+    let (counts, digests, stats) = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..args.clients.max(1))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut client =
+                        Client::connect(addr, Duration::from_secs(30)).expect("connect");
+                    let mut counts = BTreeMap::<u16, usize>::new();
+                    let mut digests = BTreeSet::new();
+                    let mut eta = EtaStats::default();
+                    for _ in 0..args.requests {
+                        match client.post("/query", &body) {
+                            Ok(response) => {
+                                *counts.entry(response.status).or_default() += 1;
+                                if response.status == 200 {
+                                    if let Ok(v) = response.json() {
+                                        if let Some(d) = v.get("digest").and_then(Json::as_str) {
+                                            digests.insert(d.to_string());
+                                        }
+                                        if let Some(target) = &args.eta {
+                                            eta.absorb(&v, target.eta);
+                                        }
                                     }
                                 }
                             }
-                        }
-                        Err(e) => {
-                            local_latencies.push(t.elapsed());
-                            eprintln!("transport error: {e}");
-                            *local_counts.entry(0).or_default() += 1;
+                            Err(e) => {
+                                eprintln!("transport error: {e}");
+                                *counts.entry(0).or_default() += 1;
+                            }
                         }
                     }
-                }
-                latencies.lock().unwrap().extend(local_latencies);
-                let mut counts = status_counts.lock().unwrap();
-                for (status, n) in local_counts {
-                    *counts.entry(status).or_default() += n;
-                }
-                digests.lock().unwrap().extend(local_digests);
-                eta_stats.lock().unwrap().merge(&local_eta);
-            });
+                    (counts, digests, eta)
+                })
+            })
+            .collect();
+        let mut counts = BTreeMap::<u16, usize>::new();
+        let mut digests = BTreeSet::<String>::new();
+        let mut stats = EtaStats::default();
+        for client in clients {
+            let (c, d, e) = client.join().expect("loadgen client panicked");
+            for (status, n) in c {
+                *counts.entry(status).or_default() += n;
+            }
+            digests.extend(d);
+            stats.merge(&e);
         }
+        (counts, digests, stats)
     });
-    let elapsed = start.elapsed();
-
-    let mut latencies = latencies.into_inner().unwrap();
-    latencies.sort();
-    let counts = status_counts.into_inner().unwrap();
-    let digests = digests.into_inner().unwrap();
-    let total: usize = counts.values().sum();
     let ok = counts.get(&200).copied().unwrap_or(0);
-    let quantile = |q: f64| -> f64 {
-        if latencies.is_empty() {
-            return 0.0;
-        }
-        let rank = ((q * latencies.len() as f64).ceil() as usize).clamp(1, latencies.len());
-        latencies[rank - 1].as_secs_f64() * 1e3
-    };
 
     println!(
         "\nloadgen: {} clients x {} requests, tenant {}, {}",
@@ -386,27 +302,12 @@ fn main() {
             None => format!("spec {}", args.spec),
         }
     );
-    println!("  elapsed      {:.3}s", elapsed.as_secs_f64());
-    println!(
-        "  throughput   {:.0} answers/s ({ok}/{total} OK)",
-        ok as f64 / elapsed.as_secs_f64().max(1e-9)
-    );
     for (status, n) in &counts {
         match status {
             0 => println!("  ERR          {n}"),
             s => println!("  {s}          {n}"),
         }
     }
-    println!(
-        "  latency ms   p50 {:.3} | p90 {:.3} | p99 {:.3} | max {:.3}",
-        quantile(0.50),
-        quantile(0.90),
-        quantile(0.99),
-        latencies
-            .last()
-            .map(|d| d.as_secs_f64() * 1e3)
-            .unwrap_or(0.0)
-    );
     println!(
         "  digests      {} distinct over {} OK answers{}",
         digests.len(),
@@ -423,7 +324,6 @@ fn main() {
         println!("digest {digest}");
     }
     if let Some(target) = &args.eta {
-        let stats = eta_stats.into_inner().unwrap();
         let served = stats.served.max(1) as f64;
         println!(
             "  slo          {} met / {} infeasible / {} VIOLATED of {} served (target η = {})",
@@ -463,12 +363,81 @@ fn main() {
     }
 }
 
+/// Resolves `--url` (hostnames such as `localhost:8642` too, not just IP
+/// literals); exits 2 when it names no address.
+fn resolve(url: &str) -> SocketAddr {
+    use std::net::ToSocketAddrs;
+    let host_port = url.trim_start_matches("http://").trim_end_matches('/');
+    host_port
+        .to_socket_addrs()
+        .unwrap_or_else(|e| {
+            eprintln!("cannot resolve --url `{host_port}`: {e}");
+            std::process::exit(2);
+        })
+        .next()
+        .unwrap_or_else(|| {
+            eprintln!("--url `{host_port}` resolved to no address");
+            std::process::exit(2);
+        })
+}
+
+/// Starts the demo engine + server in process; the requested tenant name
+/// (if any) is registered so `--tenant` keeps working. With `--store DIR`
+/// the demo engine is durable: an existing store is warm-opened (snapshot +
+/// WAL replay), otherwise the freshly built engine is persisted there;
+/// `--updates N` applies N logged update batches before any query runs.
+fn self_host(args: &Args) -> RunningServer {
+    let demo = match &args.store {
+        Some(dir) => {
+            let (demo, replayed) = beas_bench::serving::demo_engine_durable(args.rows, dir);
+            match replayed {
+                Some(replayed) => println!("store: warm replayed={replayed}"),
+                None => println!("store: cold"),
+            }
+            demo
+        }
+        None => demo_engine(args.rows),
+    };
+    for round in 0..args.updates {
+        let batch = (0..10i64).fold(beas_core::UpdateBatch::new(), |batch, i| {
+            batch.insert(
+                "poi",
+                vec![
+                    beas_relal::Value::from(format!("{round}/{i} Update Ave")),
+                    beas_relal::Value::from("hotel"),
+                    beas_relal::Value::from("NYC"),
+                    beas_relal::Value::Double(40.0 + (round as i64 * 10 + i) as f64),
+                ],
+            )
+        });
+        demo.engine.apply_update(&batch).expect("update batch");
+    }
+    if args.updates > 0 {
+        println!(
+            "applied {} update batches before serving (|D| = {})",
+            args.updates,
+            demo.engine.database().total_tuples()
+        );
+    }
+    let tenant = args.tenant.as_deref().unwrap_or("loadgen");
+    let server = serve(
+        ServeHandle::new(demo.engine),
+        ServeConfig::default()
+            .workers(args.clients.max(2) + 2)
+            .tenant(tenant, TenantPolicy::with_rate(1e12, 1e12))
+            .default_tenant(tenant),
+    )
+    .expect("start self-hosted server");
+    println!("self-hosted demo server on http://{}", server.addr());
+    server
+}
+
 /// Closed-loop load against an in-process cluster coordinator: each client
 /// thread answers the demo cross-shard join back-to-back through
 /// `ClusterHandle::answer`, and every answer's digest is checked against the
 /// single-node engine's answer at the same spec. The per-shard budget
-/// allocation and latency metrics the coordinator exposes under
-/// `GET /metrics` are printed at the end.
+/// allocation and the metrics the coordinator exposes under `GET /metrics`
+/// are printed at the end.
 ///
 /// With `--flaky` the transport is wrapped in a seeded
 /// [`FaultInjectingTransport`](beas_cluster::FaultInjectingTransport)
@@ -521,70 +490,39 @@ fn run_cluster(args: &Args, shards: usize) {
         cluster.partition_sizes()
     );
 
-    let latencies = Mutex::new(Vec::<Duration>::new());
-    let mismatches = Mutex::new(0usize);
-    let partial_count = Mutex::new(0usize);
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..args.clients.max(1) {
-            scope.spawn(|| {
-                let mut local = Vec::with_capacity(args.requests);
-                let mut bad = 0usize;
-                let mut partials = 0usize;
-                for _ in 0..args.requests {
-                    let t = Instant::now();
-                    let answer = cluster.answer(&query, args.spec).expect("cluster answer");
-                    local.push(t.elapsed());
-                    if answer.partial {
-                        // a degraded answer must still be an honest bound
-                        partials += 1;
-                        if answer.eta > reference.eta {
+    let (mismatches, partials) = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..args.clients.max(1))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut bad = 0usize;
+                    let mut partials = 0usize;
+                    for _ in 0..args.requests {
+                        let answer = cluster.answer(&query, args.spec).expect("cluster answer");
+                        if answer.partial {
+                            // a degraded answer must still be an honest bound
+                            partials += 1;
+                            if answer.eta > reference.eta {
+                                bad += 1;
+                            }
+                        } else if answer.answers.digest() != expected
+                            || answer.eta.to_bits() != reference.eta.to_bits()
+                        {
                             bad += 1;
                         }
-                    } else if answer.answers.digest() != expected
-                        || answer.eta.to_bits() != reference.eta.to_bits()
-                    {
-                        bad += 1;
                     }
-                }
-                latencies.lock().unwrap().extend(local);
-                *mismatches.lock().unwrap() += bad;
-                *partial_count.lock().unwrap() += partials;
-            });
-        }
+                    (bad, partials)
+                })
+            })
+            .collect();
+        clients.into_iter().fold((0, 0), |(bad, partials), client| {
+            let (b, p) = client.join().expect("cluster client panicked");
+            (bad + b, partials + p)
+        })
     });
-    let elapsed = start.elapsed();
-    let partials = partial_count.into_inner().unwrap();
-
-    let mut latencies = latencies.into_inner().unwrap();
-    latencies.sort();
-    let mismatches = mismatches.into_inner().unwrap();
-    let total = latencies.len();
-    let quantile = |q: f64| -> f64 {
-        if latencies.is_empty() {
-            return 0.0;
-        }
-        let rank = ((q * latencies.len() as f64).ceil() as usize).clamp(1, latencies.len());
-        latencies[rank - 1].as_secs_f64() * 1e3
-    };
+    let total = args.clients.max(1) * args.requests;
     println!(
         "\ncluster loadgen: {} clients x {} requests, spec {}",
         args.clients, args.requests, args.spec
-    );
-    println!("  elapsed      {:.3}s", elapsed.as_secs_f64());
-    println!(
-        "  throughput   {:.0} answers/s ({total} answered)",
-        total as f64 / elapsed.as_secs_f64().max(1e-9)
-    );
-    println!(
-        "  latency ms   p50 {:.3} | p90 {:.3} | p99 {:.3} | max {:.3}",
-        quantile(0.50),
-        quantile(0.90),
-        quantile(0.99),
-        latencies
-            .last()
-            .map(|d| d.as_secs_f64() * 1e3)
-            .unwrap_or(0.0)
     );
     println!(
         "  digest       {}",
@@ -606,5 +544,89 @@ fn run_cluster(args: &Args, shards: usize) {
     println!("  metrics      {}", cluster.metrics().to_json());
     if mismatches > 0 {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&argv)
+    }
+
+    #[test]
+    fn ci_and_documented_invocations_parse() {
+        for line in [
+            // chaos-smoke
+            "--cluster 3 --flaky --clients 4 --requests 100 --rows 4000",
+            // slo-smoke
+            "--self-host --clients 2 --requests 40 --rows 4000 --eta 0.9",
+            // restart-smoke: the cold run, then the warm reopen
+            "--store store-smoke --updates 3 --clients 2 --requests 25 --linger",
+            "--store store-smoke --clients 2 --requests 25",
+            // the module doc and the README
+            "--url 127.0.0.1:8642 --tenant gold --spec ratio:0.05 --clients 4 --requests 200",
+            "--self-host --clients 4 --requests 200",
+            "--cluster 3 --clients 4 --requests 200",
+            "--self-host --eta eta:0.95@ratio:0.5",
+        ] {
+            if let Err(e) = parse(line) {
+                panic!("`{line}` must parse: {e}");
+            }
+        }
+        let cold =
+            parse("--store store-smoke --updates 3 --clients 2 --requests 25 --linger").unwrap();
+        assert_eq!(
+            cold.store.as_deref(),
+            Some(std::path::Path::new("store-smoke"))
+        );
+        assert_eq!((cold.updates, cold.clients, cold.requests), (3, 2, 25));
+        assert!(cold.linger && cold.url.is_none() && cold.cluster.is_none());
+        let eta = parse("--self-host --eta 0.9").unwrap().eta.unwrap();
+        assert_eq!(eta.eta, 0.9);
+    }
+
+    #[test]
+    fn flags_a_mode_cannot_honour_are_refused_naming_both() {
+        for (line, a, b) in [
+            ("--url 127.0.0.1:1 --self-host", "--url", "--self-host"),
+            ("--url 127.0.0.1:1 --store d", "--url", "--store"),
+            ("--url 127.0.0.1:1 --updates 2", "--url", "--updates"),
+            ("--cluster 3 --url 127.0.0.1:1", "--cluster", "--url"),
+            ("--self-host --cluster 3", "--cluster", "--self-host"),
+            ("--cluster 3 --store d", "--cluster", "--store"),
+            ("--cluster 3 --updates 1", "--cluster", "--updates"),
+            ("--tenant gold --cluster 3", "--cluster", "--tenant"),
+            ("--cluster 3 --linger", "--cluster", "--linger"),
+            ("--cluster 3 --eta 0.9", "--cluster", "--eta"),
+            ("--self-host --flaky", "--flaky", "--cluster"),
+        ] {
+            match parse(line) {
+                Ok(_) => panic!("`{line}` must be refused"),
+                Err(e) => assert!(
+                    e.contains(a) && e.contains(b),
+                    "`{line}`: the message must name {a} and {b}: {e}"
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_values_are_errors_not_panics() {
+        for (line, flag) in [
+            ("--clients many", "--clients"),
+            ("--cluster", "--cluster"),
+            ("--spec bogus", "--spec"),
+            ("--eta 1.5", "--eta"),
+            ("--rows", "--rows"),
+            ("--bogus", "--bogus"),
+        ] {
+            match parse(line) {
+                Ok(_) => panic!("`{line}` must be refused"),
+                Err(e) => assert!(e.contains(flag), "`{line}`: {e}"),
+            }
+        }
     }
 }

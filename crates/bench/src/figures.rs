@@ -1,15 +1,13 @@
 //! One function per table/figure of the paper's evaluation (Sec. 8).
 //!
 //! Every function returns a [`Table`] whose rows mirror the series plotted in
-//! the corresponding figure; the `figures` binary prints them, and
-//! EXPERIMENTS.md records a captured run together with the paper-vs-measured
-//! comparison.
+//! the corresponding figure; the `figures` binary prints them. Putting the
+//! measured tables beside the paper's is ROADMAP item 9.
 
 use beas_workloads::{airca::airca_lite, tfacc::tfacc_lite, tpch::tpch_lite, Dataset};
 
 use crate::harness::{
-    average, evaluate_at, measure_build, measure_concurrent_serving, measure_plan_cache,
-    measure_timings, prepare, prepare_with_threads, BenchProfile, EvalRow, Metric, QueryClass,
+    average, evaluate_at, measure_timings, prepare, BenchProfile, EvalRow, Metric, QueryClass,
 };
 use crate::table::Table;
 
@@ -505,336 +503,6 @@ pub fn fig_kernels(profile: &BenchProfile) -> Table {
     table
 }
 
-/// Beyond the paper: the serving-path experiment. Answers every workload
-/// query repeatedly at each spec of the profile, planning from scratch per
-/// request vs. through a cached [`PreparedQuery`], and reports the speedup
-/// the per-budget plan cache buys.
-///
-/// [`PreparedQuery`]: beas_core::PreparedQuery
-pub fn fig_plan_cache(profile: &BenchProfile) -> Table {
-    const ROUNDS: usize = 30;
-    let prep = prepare(tpch_lite(profile.scale, profile.seed), profile);
-    let mut table = Table::new(
-        format!(
-            "TPCH: repeated answering, plan-from-scratch vs PreparedQuery cache ({} answers/spec)",
-            ROUNDS * prep.queries.len()
-        ),
-        vec!["spec", "scratch_ms", "prepared_ms", "speedup"],
-    );
-    for &spec in &profile.specs {
-        let t = measure_plan_cache(&prep, spec, ROUNDS);
-        table.push_row(vec![
-            format!("{spec}"),
-            format!("{:.3}", t.scratch.as_secs_f64() * 1e3),
-            format!("{:.3}", t.prepared.as_secs_f64() * 1e3),
-            format!("{:.2}x", t.speedup()),
-        ]);
-    }
-    table
-}
-
-/// Beyond the paper: the concurrency experiment behind the `Send + Sync`
-/// serving core. One table, two measurements per thread count on the TPCH
-/// workload:
-///
-/// * **serving throughput** — a fixed batch of `PreparedQuery::answer` calls
-///   driven by 1 / 2 / … client threads against one shared engine (warmed
-///   plan caches, so the numbers are execution-dominated). The serving
-///   engine is pinned to one intra-query thread, so the rows vary *client*
-///   concurrency alone instead of multiplying it with shard threads;
-/// * **index build time** — the offline C1 build at the row's thread count.
-///
-/// The `identical` column checks an order-independent digest of every answer
-/// against the single-threaded run: concurrency never changes the answers,
-/// so the throughput comparison is at equal accuracy by construction.
-pub fn fig_concurrency(profile: &BenchProfile) -> Table {
-    const ROUNDS: usize = 40;
-    let spec = profile.last_spec();
-    // always measure 1/2/4 clients plus the full machine: client concurrency
-    // may exceed cores (the speedup column then simply reports ~1x)
-    let available = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut thread_counts = vec![1usize, 2, 4, available];
-    thread_counts.sort_unstable();
-    thread_counts.dedup();
-
-    // a bigger instance than the accuracy figures so per-answer work is real;
-    // generated once — the build rows clone it, the serving engine takes it
-    let scale = profile.scale.max(2);
-    let dataset = tpch_lite(scale, profile.seed);
-    let prep = prepare_with_threads(dataset.clone(), profile, Some(1));
-
-    let mut table = Table::new(
-        format!(
-            "TPCH: concurrent serving and parallel build, varying threads (spec = {spec}, |D| = {}, min_shard_rows = {} [calibrated], mask_chunk = {} rows)",
-            prep.size(),
-            prep.beas.min_shard_rows(),
-            beas_relal::kernel::MASK_CHUNK
-        ),
-        vec![
-            "threads",
-            "serve_ms",
-            "answers/s",
-            "serve_speedup",
-            "build_ms",
-            "build_speedup",
-            "identical",
-        ],
-    );
-
-    let mut baseline_serve: Option<f64> = None;
-    let mut baseline_build: Option<f64> = None;
-    let mut baseline_digest: Option<u64> = None;
-    for &threads in &thread_counts {
-        let run = measure_concurrent_serving(&prep, spec, threads, ROUNDS);
-        let build = measure_build(&dataset, threads).as_secs_f64() * 1e3;
-        let serve_ms = run.elapsed.as_secs_f64() * 1e3;
-        let serve_base = *baseline_serve.get_or_insert(serve_ms);
-        let build_base = *baseline_build.get_or_insert(build);
-        let digest_base = *baseline_digest.get_or_insert(run.digest);
-        table.push_row(vec![
-            threads.to_string(),
-            format!("{serve_ms:.3}"),
-            format!("{:.0}", run.throughput()),
-            format!("{:.2}x", serve_base / serve_ms.max(1e-9)),
-            format!("{build:.3}"),
-            format!("{:.2}x", build_base / build.max(1e-9)),
-            if run.digest == digest_base {
-                "yes"
-            } else {
-                "NO"
-            }
-            .to_string(),
-        ]);
-    }
-    table
-}
-
-/// Beyond the paper: the network-serving experiment behind `beas-serve`.
-/// Three tenant classes share one server — a generously provisioned `gold`
-/// tenant at a small spec, a `silver` tenant at a mid spec, and a `free`
-/// tenant whose token bucket only covers a couple of the maximal-budget
-/// queries it hammers the server with. Per class: throughput, p50/p99
-/// latency, `429` counts, and a digest column proving every served answer
-/// matched the in-process `PreparedQuery::answer` relation bit-for-bit —
-/// resource bounds enforced at the door, at equal accuracy.
-pub fn fig_serving(profile: &BenchProfile) -> Table {
-    use crate::serving::{demo_engine, measure_serving, TenantClass};
-    use beas_serve::TenantPolicy;
-
-    let rows = 2000 * profile.scale.max(1) as i64;
-    let demo = demo_engine(rows);
-    let full_budget = demo
-        .engine
-        .catalog()
-        .budget(&beas_core::ResourceSpec::FULL)
-        .expect("full budget") as f64;
-    let per_client = (profile.queries * 5).max(20);
-    let classes = [
-        TenantClass {
-            name: "gold".into(),
-            policy: TenantPolicy::with_rate(1e12, 1e12),
-            spec: beas_core::ResourceSpec::Ratio(0.05),
-            clients: 2,
-            requests_per_client: per_client,
-        },
-        TenantClass {
-            name: "silver".into(),
-            policy: TenantPolicy::with_rate(1e12, 1e12),
-            spec: beas_core::ResourceSpec::Ratio(0.2),
-            clients: 2,
-            requests_per_client: per_client,
-        },
-        TenantClass {
-            name: "free".into(),
-            policy: TenantPolicy::with_rate(full_budget / 20.0, full_budget * 1.5),
-            spec: beas_core::ResourceSpec::FULL,
-            clients: 2,
-            requests_per_client: per_client,
-        },
-    ];
-    let results = measure_serving(&demo, &classes, 8);
-
-    let mut table = Table::new(
-        format!(
-            "Serving over HTTP: per-tenant-class admission, latency and throughput (|D| = {rows}, one shared server)"
-        ),
-        vec![
-            "tenant",
-            "spec",
-            "clients",
-            "requests",
-            "ok",
-            "429",
-            "answers/s",
-            "p50_ms",
-            "p99_ms",
-            "digest",
-        ],
-    );
-    for r in &results {
-        table.push_row(vec![
-            r.name.clone(),
-            r.spec.to_string(),
-            r.clients.to_string(),
-            r.requests.to_string(),
-            r.ok.to_string(),
-            r.rejected.to_string(),
-            format!("{:.0}", r.throughput()),
-            format!("{:.3}", r.quantile_ms(0.5)),
-            format!("{:.3}", r.quantile_ms(0.99)),
-            if r.digest_ok { "ok" } else { "MISMATCH" }.to_string(),
-        ]);
-    }
-    table
-}
-
-/// Beyond the paper: the anytime-answers experiment behind
-/// [`AnswerSession`](beas_core::AnswerSession). One refinement session over
-/// the default ratio ladder against the demo serving engine, one row per
-/// step: η, the step's budget, the cumulative tuples actually fetched, the
-/// tuples reused from earlier steps, and the cumulative wall-clock at which
-/// the step's answer was available — followed by a `one-shot` row for the
-/// full-budget `PreparedQuery::answer` the session's final step must equal
-/// (its digest is asserted equal here). Time-to-first-answer is the first
-/// row's clock; the title also records the shared plan-cache hits a *second*
-/// `PreparedQuery` for the identical query scores, proving cross-handle plan
-/// sharing.
-pub fn fig_refinement(profile: &BenchProfile) -> Table {
-    use beas_core::{Beas, ConstraintSpec, RefinementSchedule, RefinementStep, ResourceSpec};
-    use beas_relal::{Attribute, Database, DatabaseSchema, RelationSchema, SpcQueryBuilder, Value};
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    // best-of-5 on both sides: the TTFA-vs-one-shot comparison is asserted
-    // by a unit test, so give it headroom against scheduler noise
-    const RUNS: usize = 5;
-    let rows = 20_000 * profile.scale.max(1) as i64;
-    // all-distinct prices, so the exact (hotel, NYC) fragment holds ~|D|/15
-    // tuples and the coarse steps of the ladder genuinely approximate it —
-    // the demo serving engine's 80 distinct prices would be exact from the
-    // first rung
-    let schema = DatabaseSchema::new(vec![RelationSchema::new(
-        "poi",
-        vec![
-            Attribute::categorical("type"),
-            Attribute::text("city"),
-            Attribute::double("price"),
-        ],
-    )]);
-    let mut db = Database::new(schema);
-    let cities = ["NYC", "LA", "Chicago", "Boston", "Seattle"];
-    let types = ["hotel", "museum", "restaurant"];
-    for i in 0..rows {
-        db.insert_row(
-            "poi",
-            vec![
-                Value::from(types[(i % 3) as usize]),
-                Value::from(cities[(i % 5) as usize]),
-                Value::Double(20.0 + i as f64 / 7.0),
-            ],
-        )
-        .expect("insert");
-    }
-    let engine = Arc::new(
-        Beas::builder(db)
-            .constraint(ConstraintSpec::new("poi", &["type", "city"], &["price"]))
-            .build()
-            .expect("refinement engine"),
-    );
-    let query: beas_core::BeasQuery = {
-        let mut b = SpcQueryBuilder::new(engine.schema());
-        let h = b.atom("poi", "h").expect("atom");
-        b.bind_const(h, "type", "hotel").expect("bind");
-        b.bind_const(h, "city", "NYC").expect("bind");
-        b.output(h, "price", "price").expect("output");
-        b.build().expect("query").into()
-    };
-    let prepared = engine.prepare_shared(&query).expect("prepare");
-
-    // one-shot full-budget answering, best of RUNS (plan + execute)
-    let mut one_shot_ms = f64::INFINITY;
-    let mut one_shot = None;
-    for _ in 0..RUNS {
-        let start = Instant::now();
-        let answer = prepared.answer(ResourceSpec::FULL).expect("one-shot");
-        one_shot_ms = one_shot_ms.min(start.elapsed().as_secs_f64() * 1e3);
-        one_shot = Some(answer);
-    }
-    let one_shot = one_shot.expect("at least one run");
-
-    // the refinement session, best of RUNS by time-to-first-answer
-    let mut best: Option<(Vec<(RefinementStep, f64)>, f64)> = None;
-    for _ in 0..RUNS {
-        let session = prepared
-            .session(RefinementSchedule::default_ladder())
-            .expect("session");
-        let start = Instant::now();
-        let mut steps = Vec::new();
-        for step in session {
-            let step = step.expect("refinement step");
-            steps.push((step, start.elapsed().as_secs_f64() * 1e3));
-        }
-        let ttfa = steps.first().map(|(_, ms)| *ms).unwrap_or(f64::INFINITY);
-        if best.as_ref().is_none_or(|(_, b)| ttfa < *b) {
-            best = Some((steps, ttfa));
-        }
-    }
-    let (steps, ttfa_ms) = best.expect("at least one session run");
-    let (final_step, _) = steps.last().expect("non-empty ladder");
-    assert_eq!(
-        final_step.answer.answers.digest(),
-        one_shot.answers.digest(),
-        "the session's final step must be bit-for-bit the one-shot answer"
-    );
-
-    // cross-handle plan sharing: a *second* PreparedQuery for the identical
-    // query must hit the engine's shared plan cache instead of re-planning
-    let hits_before = engine.stats().plan_cache_hits;
-    let second = engine.prepare_shared(&query).expect("prepare");
-    second.plan(ResourceSpec::FULL).expect("plan");
-    let shared_hits = engine.stats().plan_cache_hits - hits_before;
-
-    let mut table = Table::new(
-        format!(
-            "Anytime refinement: session over the default ratio ladder vs one-shot \
-             (|D| = {rows}, TTFA = {ttfa_ms:.3} ms vs one-shot {one_shot_ms:.3} ms; \
-             2nd PreparedQuery shared-plan-cache hits: {shared_hits})"
-        ),
-        vec![
-            "step",
-            "spec",
-            "eta",
-            "budget",
-            "spent_cum",
-            "reused",
-            "t_cum_ms",
-        ],
-    );
-    for (step, cum_ms) in &steps {
-        table.push_row(vec![
-            format!("{}/{}", step.step, step.steps),
-            step.spec.to_string(),
-            Table::num(step.eta),
-            step.budget.to_string(),
-            step.budget_spent.to_string(),
-            step.reused_tuples.to_string(),
-            format!("{cum_ms:.3}"),
-        ]);
-    }
-    table.push_row(vec![
-        "one-shot".to_string(),
-        "ratio:1".to_string(),
-        Table::num(one_shot.eta),
-        one_shot.budget.to_string(),
-        one_shot.accessed.to_string(),
-        "0".to_string(),
-        format!("{one_shot_ms:.3}"),
-    ]);
-    table
-}
-
 /// The accuracy-SLO planner (`figures slo`): a cold engine serving an
 /// `eta:` target falls back to full evaluation (never over-promising); after
 /// a seeded warm-up over the budget ladder the planner resolves each target
@@ -846,9 +514,9 @@ pub fn fig_slo(profile: &BenchProfile) -> Table {
     use beas_core::{AccuracyTarget, Beas, ConstraintSpec, ResourceSpec};
     use beas_relal::{Attribute, Database, DatabaseSchema, RelationSchema, SpcQueryBuilder, Value};
 
-    // the all-distinct-prices schema of `fig_refinement`: coarse levels
-    // genuinely approximate the exact fragment, so cheap budgets achieve
-    // η < 1 and the curve has a real trade-off to learn
+    // all-distinct prices: coarse levels genuinely approximate the exact
+    // fragment, so cheap budgets achieve η < 1 and the curve has a real
+    // trade-off to learn
     let rows = 20_000 * profile.scale.max(1) as i64;
     let schema = DatabaseSchema::new(vec![RelationSchema::new(
         "poi",
@@ -986,11 +654,8 @@ pub fn all_figures(profile: &BenchProfile) -> Vec<Table> {
         fig6j_exact_ratio(profile),
         fig6k_index_size(profile),
         fig6l_efficiency(profile),
-        fig_plan_cache(profile),
         fig_kernels(profile),
-        fig_concurrency(profile),
-        fig_serving(profile),
-        fig_refinement(profile),
+        crate::cluster::fig_cluster(profile),
         fig_slo(profile),
     ]
 }
@@ -1055,101 +720,6 @@ mod tests {
             assert!(gen_ms >= 0.0);
             assert!(gen_ms < 1000.0, "plan generation should be far below 1s");
         }
-    }
-
-    #[test]
-    fn plan_cache_table_reports_speedups_per_spec() {
-        let t = fig_plan_cache(&tiny_profile());
-        assert_eq!(t.rows.len(), 2);
-        for row in &t.rows {
-            let scratch: f64 = row[1].parse().unwrap();
-            let prepared: f64 = row[2].parse().unwrap();
-            assert!(scratch > 0.0 && prepared > 0.0);
-            // wall-clock comparison with 25% noise slack (see the harness
-            // plan-cache test); a broken cache re-plans and overshoots this
-            assert!(
-                prepared <= scratch * 1.25,
-                "cached answering must not be slower: {prepared} vs {scratch}"
-            );
-        }
-    }
-
-    #[test]
-    fn concurrency_table_reports_identical_answers_per_thread_count() {
-        let t = fig_concurrency(&tiny_profile());
-        assert!(
-            t.rows.len() >= 2,
-            "at least single- and multi-threaded rows"
-        );
-        assert_eq!(t.rows[0][0], "1");
-        for row in &t.rows {
-            let throughput: f64 = row[2].parse().unwrap();
-            assert!(throughput > 0.0);
-            assert_eq!(
-                row[6], "yes",
-                "answers must be identical at every thread count"
-            );
-        }
-    }
-
-    #[test]
-    fn serving_table_proves_isolation_at_equal_accuracy() {
-        let t = fig_serving(&tiny_profile());
-        assert_eq!(t.rows.len(), 3);
-        for row in &t.rows {
-            assert_eq!(row[9], "ok", "served answers must match in-process digests");
-        }
-        let gold = &t.rows[0];
-        let free = &t.rows[2];
-        // the compliant tenant is fully served …
-        assert_eq!(gold[4], gold[3], "gold: every request answered");
-        assert_eq!(gold[5], "0", "gold: no rejections");
-        // … while the saturator is bounded by its own budget
-        let free_429: usize = free[5].parse().unwrap();
-        assert!(free_429 > 0, "free: the saturator must see 429s");
-        // and its pressure does not push gold's p99 beyond a generous bound
-        let gold_p99_ms: f64 = gold[8].parse().unwrap();
-        assert!(
-            gold_p99_ms < 2000.0,
-            "gold p99 {gold_p99_ms}ms pushed past its bound"
-        );
-    }
-
-    #[test]
-    fn refinement_table_shows_ttfa_below_one_shot_and_a_shared_cache_hit() {
-        let t = fig_refinement(&tiny_profile());
-        // one row per ladder step plus the one-shot reference row
-        assert!(t.rows.len() >= 3, "{:?}", t.rows);
-        let one_shot = t.rows.last().unwrap();
-        assert_eq!(one_shot[0], "one-shot");
-        let ttfa: f64 = t.rows[0][6].parse().unwrap();
-        let one_shot_ms: f64 = one_shot[6].parse().unwrap();
-        assert!(
-            ttfa < one_shot_ms,
-            "time-to-first-answer {ttfa} ms must be strictly below the \
-             one-shot full-budget latency {one_shot_ms} ms"
-        );
-        // η never decreases and the spend never decreases along the ladder
-        let steps = &t.rows[..t.rows.len() - 1];
-        for pair in steps.windows(2) {
-            let (e0, e1): (f64, f64) = (pair[0][2].parse().unwrap(), pair[1][2].parse().unwrap());
-            let (s0, s1): (i64, i64) = (pair[0][4].parse().unwrap(), pair[1][4].parse().unwrap());
-            assert!(e1 >= e0, "eta decreased: {e0} -> {e1}");
-            assert!(s1 >= s0, "spend decreased: {s0} -> {s1}");
-        }
-        // some later step reused fragments fetched earlier
-        assert!(
-            steps[1..].iter().any(|r| r[5].parse::<i64>().unwrap() > 0),
-            "no step reused fragments: {steps:?}"
-        );
-        // the second PreparedQuery recorded a shared plan-cache hit
-        let hits: u64 = t
-            .title
-            .split("shared-plan-cache hits: ")
-            .nth(1)
-            .and_then(|rest| rest.trim_end_matches(')').parse().ok())
-            .unwrap();
-        assert!(hits >= 1, "no shared-cache hit recorded: {}", t.title);
     }
 
     #[test]

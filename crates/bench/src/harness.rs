@@ -1,9 +1,7 @@
 //! Shared evaluation machinery for the figure harness: dataset preparation,
-//! per-query accuracy evaluation of BEAS and of the baselines, aggregation —
-//! plus the timing probes for the serving-path experiments (plan cache,
-//! concurrent serving, parallel index build).
+//! per-query accuracy evaluation of BEAS and of the baselines, aggregation,
+//! and the Exp-5 timings of Fig. 6(l).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use beas_baselines::{stratified::Qcs, Baseline, BlinkSim, Histo, Sampl};
@@ -116,7 +114,7 @@ impl BenchProfile {
         }
     }
 
-    /// The profile used to produce EXPERIMENTS.md (minutes).
+    /// The larger profile of `figures --full` (minutes).
     pub fn full() -> Self {
         BenchProfile {
             scale: 3,
@@ -172,22 +170,8 @@ impl PreparedDataset {
 }
 
 /// Prepares a dataset: builds the BEAS catalog and generates the workload.
-/// The database is moved into the engine (no copy is retained). The engine
-/// uses its default thread count; see [`prepare_with_threads`] when an
-/// experiment needs to pin it.
-pub fn prepare(dataset: Dataset, profile: &BenchProfile) -> PreparedDataset {
-    prepare_with_threads(dataset, profile, None)
-}
-
-/// [`prepare`] with an explicit engine thread count. The concurrency
-/// experiments pin the engine to one thread so that varying *client* threads
-/// measures serving concurrency alone, without intra-query shard threads
-/// oversubscribing the cores.
-pub fn prepare_with_threads(
-    mut dataset: Dataset,
-    profile: &BenchProfile,
-    threads: Option<usize>,
-) -> PreparedDataset {
+/// The database is moved into the engine (no copy is retained).
+pub fn prepare(mut dataset: Dataset, profile: &BenchProfile) -> PreparedDataset {
     let queries = generate_workload(
         &dataset,
         &QueryGenConfig {
@@ -197,11 +181,10 @@ pub fn prepare_with_threads(
         },
     );
     let db = std::mem::take(&mut dataset.db);
-    let mut builder = Beas::builder(db).constraints(dataset.constraints.iter().cloned());
-    if let Some(threads) = threads {
-        builder = builder.num_threads(threads);
-    }
-    let beas = builder.build().expect("catalog construction");
+    let beas = Beas::builder(db)
+        .constraints(dataset.constraints.iter().cloned())
+        .build()
+        .expect("catalog construction");
     PreparedDataset {
         dataset,
         beas,
@@ -431,176 +414,6 @@ pub fn measure_timings(prep: &PreparedDataset, spec: ResourceSpec) -> Timings {
     total
 }
 
-/// Timings of the plan-cache experiment: answering a repeated query with
-/// plan-from-scratch per request vs. through a [`PreparedQuery`] whose plan
-/// cache amortizes C3 across requests.
-///
-/// [`PreparedQuery`]: beas_core::PreparedQuery
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PlanCacheTimings {
-    /// Total time for `rounds × queries` answers, planning from scratch each
-    /// time (`Beas::answer`).
-    pub scratch: Duration,
-    /// Total time for the same answers through cached prepared queries.
-    pub prepared: Duration,
-    /// Number of (query, round) pairs measured.
-    pub answers: usize,
-}
-
-impl PlanCacheTimings {
-    /// `scratch / prepared` (1.0 when prepared is zero).
-    pub fn speedup(&self) -> f64 {
-        if self.prepared.is_zero() {
-            1.0
-        } else {
-            self.scratch.as_secs_f64() / self.prepared.as_secs_f64()
-        }
-    }
-}
-
-/// Measures the plan-cache experiment: every workload query is answered
-/// `rounds` times at the same spec, once planning from scratch per request
-/// and once through a [`PreparedQuery`](beas_core::PreparedQuery). Both paths
-/// are warmed once before timing so allocator effects do not dominate.
-pub fn measure_plan_cache(
-    prep: &PreparedDataset,
-    spec: ResourceSpec,
-    rounds: usize,
-) -> PlanCacheTimings {
-    let mut timings = PlanCacheTimings::default();
-    for gq in &prep.queries {
-        let Ok(prepared) = prep.beas.prepare(&gq.query) else {
-            continue;
-        };
-        // warm both paths (fills the prepared plan cache)
-        if prep.beas.answer(&gq.query, spec).is_err() || prepared.answer(spec).is_err() {
-            continue;
-        }
-
-        let start = Instant::now();
-        for _ in 0..rounds {
-            let _ = std::hint::black_box(prep.beas.answer(&gq.query, spec));
-        }
-        timings.scratch += start.elapsed();
-
-        let start = Instant::now();
-        for _ in 0..rounds {
-            let _ = std::hint::black_box(prepared.answer(spec));
-        }
-        timings.prepared += start.elapsed();
-        timings.answers += rounds;
-    }
-    timings
-}
-
-/// One measured concurrent-serving run: wall-clock time for a fixed batch of
-/// answers driven by a number of client threads, plus an order-independent
-/// digest of every returned answer set (equal digests across runs prove the
-/// answers were identical at every thread count).
-#[derive(Debug, Clone, Copy)]
-pub struct ServingRun {
-    /// Number of client threads that drove the batch.
-    pub client_threads: usize,
-    /// Answers completed (queries × rounds, minus any planning failures).
-    pub answers: usize,
-    /// Wall-clock time for the whole batch.
-    pub elapsed: Duration,
-    /// Wrapping sum of per-answer digests: commutative and associative, so
-    /// independent of which thread served which request — and, unlike XOR,
-    /// repeated identical answers do not cancel out, so the digest stays
-    /// discriminating for any round count.
-    pub digest: u64,
-}
-
-impl ServingRun {
-    /// Answer throughput in answers per second.
-    pub fn throughput(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.answers as f64 / secs
-        } else {
-            f64::INFINITY
-        }
-    }
-}
-
-/// Order-independent digest of one answer relation (rows are sorted first).
-/// Delegates to [`Relation::digest`], which the serving wire protocol shares,
-/// so a digest measured here is directly comparable to one served over HTTP.
-fn digest_relation(rel: &beas_relal::Relation) -> u64 {
-    rel.digest()
-}
-
-/// Drives `rounds × queries` answers through shared [`PreparedQuery`] handles
-/// from `client_threads` threads pulling work off one atomic queue — the
-/// concurrent-serving experiment behind the `Send + Sync` engine. Plan caches
-/// are warmed first so the measurement is execution-dominated, as in a
-/// serving steady state.
-///
-/// [`PreparedQuery`]: beas_core::PreparedQuery
-pub fn measure_concurrent_serving(
-    prep: &PreparedDataset,
-    spec: ResourceSpec,
-    client_threads: usize,
-    rounds: usize,
-) -> ServingRun {
-    let client_threads = client_threads.max(1);
-    let prepared: Vec<_> = prep
-        .queries
-        .iter()
-        .filter_map(|gq| prep.beas.prepare(&gq.query).ok())
-        .filter(|p| p.answer(spec).is_ok()) // warm the plan cache
-        .collect();
-    let total = prepared.len() * rounds;
-    let next = AtomicUsize::new(0);
-    let answered = AtomicUsize::new(0);
-
-    let start = Instant::now();
-    let digest = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..client_threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = 0u64;
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= total {
-                            break;
-                        }
-                        if let Ok(answer) = prepared[i % prepared.len()].answer(spec) {
-                            local = local.wrapping_add(digest_relation(&answer.answers));
-                            answered.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("serving client panicked"))
-            .fold(0u64, |acc, d| acc.wrapping_add(d))
-    });
-    ServingRun {
-        client_threads,
-        answers: answered.load(Ordering::Relaxed),
-        elapsed: start.elapsed(),
-        digest,
-    }
-}
-
-/// Wall-clock time of one offline build (C1) of the dataset's access schema
-/// at the given thread count.
-pub fn measure_build(dataset: &Dataset, threads: usize) -> Duration {
-    let start = Instant::now();
-    let engine = Beas::builder(dataset.db.clone())
-        .constraints(dataset.constraints.iter().cloned())
-        .num_threads(threads)
-        .build()
-        .expect("catalog construction");
-    std::hint::black_box(engine.catalog().len());
-    start.elapsed()
-}
-
 /// Average smallest exact resource ratio over the workload, split into the
 /// SPC-series and RA-series queries (Exp-3, Fig. 6(j)).
 pub fn exact_ratios(prep: &PreparedDataset) -> (f64, f64) {
@@ -691,50 +504,6 @@ mod tests {
         let t = measure_timings(&prep, ResourceSpec::Ratio(0.05));
         assert!(t.full_evaluation >= Duration::ZERO);
         assert!(t.plan_generation < Duration::from_secs(1));
-    }
-
-    #[test]
-    fn plan_cache_beats_plan_from_scratch_on_repeated_budgets() {
-        let prep = tiny_prep();
-        let t = measure_plan_cache(&prep, ResourceSpec::Ratio(0.05), 40);
-        assert!(t.answers > 0);
-        // The prepared path skips planning entirely on repeat budgets, so it
-        // should not be slower than planning from scratch on every request.
-        // Wall-clock on shared CI runners is noisy; allow 25% slack — a broken
-        // cache would re-plan per request and overshoot this by far more.
-        assert!(
-            t.prepared <= t.scratch.mul_f64(1.25),
-            "prepared {:?} slower than scratch {:?} beyond timing noise",
-            t.prepared,
-            t.scratch
-        );
-    }
-
-    #[test]
-    fn concurrent_serving_answers_are_identical_across_client_counts() {
-        let prep = tiny_prep();
-        let spec = ResourceSpec::Ratio(0.05);
-        let single = measure_concurrent_serving(&prep, spec, 1, 5);
-        let multi = measure_concurrent_serving(&prep, spec, 4, 5);
-        assert!(single.answers > 0);
-        assert_eq!(
-            single.answers, multi.answers,
-            "every request must complete under either client count"
-        );
-        assert_eq!(
-            single.digest, multi.digest,
-            "concurrent serving must return the same answers as sequential serving"
-        );
-        assert!(single.throughput() > 0.0);
-    }
-
-    #[test]
-    fn build_time_is_measured_at_any_thread_count() {
-        let dataset = tpch_lite(1, 7);
-        for threads in [1, 4] {
-            let t = measure_build(&dataset, threads);
-            assert!(t > Duration::ZERO);
-        }
     }
 
     #[test]

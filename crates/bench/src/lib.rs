@@ -15,15 +15,25 @@
 //! | Fig. 6(k) index sizes | [`figures::fig6k_index_size`] | `figures fig6k` |
 //! | Fig. 6(l) + Exp-5 efficiency | [`figures::fig6l_efficiency`] | `figures fig6l` |
 //!
-//! Beyond the paper's figures, `figures cluster` reports the distributed
-//! scatter-gather experiment of [`cluster::fig_cluster`]: cluster answers at
-//! shard counts {1, 2, 3} with their digests asserted bit-for-bit equal to
-//! the single-node engine's.
+//! Beyond the paper's figures, three tables check a contract rather than a
+//! speed:
+//!
+//! | Table | Function | Binary target |
+//! |---|---|---|
+//! | kernel digests: chunked mask kernels vs the scalar reference | [`figures::fig_kernels`] | `figures kernel` |
+//! | cluster answers at 1/2/3 shards equal the single node's | [`cluster::fig_cluster`] | `figures cluster` |
+//! | accuracy-SLO budgets meet their η target | [`figures::fig_slo`] | `figures slo` |
 //!
 //! The η series of Exp-2 is reported alongside every accuracy figure. Absolute
 //! numbers differ from the paper (synthetic data at laptop scale instead of
-//! 60 GB on EC2); EXPERIMENTS.md records the measured values and compares the
-//! *shapes* against the paper's findings.
+//! 60 GB on EC2); comparing the *shapes* against the paper's findings is
+//! ROADMAP item 9. Serving latency and throughput are measured by one
+//! instrument only, the standalone benchmark (`benchmark/`, declared by
+//! `BENCHMARK.json`):
+//! `cargo run --release --manifest-path benchmark/Cargo.toml -- --workload W`.
+//!
+//! The [`serving`] and [`cluster`] modules also hold the deterministic demo
+//! fixtures that `loadgen` and the `serve`/`cluster` examples use.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,32 +1,16 @@
-//! The network-serving experiment: closed-loop load against an in-process
-//! `beas-serve` server, per tenant class.
-//!
-//! Each [`TenantClass`] registers one tenant (its admission policy), drives
-//! it with a number of closed-loop client connections issuing `POST /query`
-//! at a fixed [`ResourceSpec`], and records per-request status and latency.
-//! All classes run *concurrently against one server*, so the measurement
-//! directly answers the admission-control question: does a saturating tenant
-//! push a compliant tenant past its latency bound, or is it refused at the
-//! door?
-//!
-//! Every `200` response's rows are parsed back off the wire and re-digested;
-//! the digest must equal the digest of the in-process
-//! `PreparedQuery::answer` for the same `(query, spec)` — served answers are
-//! bit-for-bit the engine's answers, so throughput is compared at equal
-//! accuracy by construction.
+//! The demo serving fixture: a deterministic poi catalogue engine and its
+//! demo query, in both in-process and wire form. `loadgen`'s self-hosted
+//! mode and `examples/serve.rs` serve it. HTTP latency under load is
+//! measured by the `serve_http` workload of `benchmark/`.
 
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
 
-use beas_core::{Beas, BeasQuery, ConstraintSpec, ResourceSpec, ServeHandle};
+use beas_core::{Beas, BeasQuery, ConstraintSpec};
 use beas_relal::{Attribute, Database, DatabaseSchema, RelationSchema, Value};
-use beas_serve::{
-    parse_json, query_body, relation_from_json, serve, Client, Json, ServeConfig, TenantPolicy,
-};
+use beas_serve::{parse_json, Json};
 
 /// The demo serving workload: a poi catalogue engine plus the demo query in
-/// both in-process and wire form. Shared by the `figures serving` table, the
-/// `loadgen` self-hosted mode, the perf snapshot and `examples/serve.rs`.
+/// both in-process and wire form.
 pub struct ServingDemo {
     /// The engine (shared, `Send + Sync`).
     pub engine: Arc<Beas>,
@@ -124,186 +108,10 @@ fn demo_with(engine: Arc<Beas>) -> ServingDemo {
     }
 }
 
-/// One tenant class of the serving experiment.
-pub struct TenantClass {
-    /// Tenant name.
-    pub name: String,
-    /// Admission policy.
-    pub policy: TenantPolicy,
-    /// The spec every request of this class asks for.
-    pub spec: ResourceSpec,
-    /// Closed-loop client connections.
-    pub clients: usize,
-    /// Requests each client issues.
-    pub requests_per_client: usize,
-}
-
-/// The measured outcome of one tenant class.
-#[derive(Debug)]
-pub struct ClassResult {
-    /// Tenant name.
-    pub name: String,
-    /// The spec the class asked for.
-    pub spec: ResourceSpec,
-    /// Client connections.
-    pub clients: usize,
-    /// Requests issued.
-    pub requests: usize,
-    /// `200` responses.
-    pub ok: usize,
-    /// `429` admission rejections.
-    pub rejected: usize,
-    /// Anything else (transport errors, 4xx/5xx).
-    pub failed: usize,
-    /// Wall-clock for the class's whole closed loop.
-    pub elapsed: Duration,
-    /// Latency of every request (admitted and rejected alike), sorted.
-    pub latencies: Vec<Duration>,
-    /// Whether every `200` response's re-digested rows matched the
-    /// in-process `PreparedQuery::answer` digest bit-for-bit.
-    pub digest_ok: bool,
-}
-
-impl ClassResult {
-    /// Served answers per second (only `200`s count).
-    pub fn throughput(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.ok as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
-    /// The `q`-quantile latency in milliseconds (0 when empty).
-    pub fn quantile_ms(&self, q: f64) -> f64 {
-        if self.latencies.is_empty() {
-            return 0.0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.latencies.len() as f64).ceil() as usize)
-            .clamp(1, self.latencies.len());
-        self.latencies[rank - 1].as_secs_f64() * 1e3
-    }
-}
-
-/// Runs all classes concurrently against one freshly started server over
-/// `demo` and returns one result per class (input order).
-pub fn measure_serving(
-    demo: &ServingDemo,
-    classes: &[TenantClass],
-    workers: usize,
-) -> Vec<ClassResult> {
-    // expected digests per class, from the in-process serving path
-    let prepared = demo
-        .engine
-        .prepare_shared(&demo.query)
-        .expect("prepare demo query");
-    let expected: Vec<u64> = classes
-        .iter()
-        .map(|class| {
-            prepared
-                .answer(class.spec)
-                .expect("in-process answer")
-                .answers
-                .digest()
-        })
-        .collect();
-
-    let mut config = ServeConfig::default().workers(workers);
-    for class in classes {
-        config = config.tenant(class.name.clone(), class.policy);
-    }
-    let server = serve(ServeHandle::new(Arc::clone(&demo.engine)), config).expect("start server");
-    let addr = server.addr();
-
-    let results: Vec<Mutex<ClassResult>> = classes
-        .iter()
-        .map(|class| {
-            Mutex::new(ClassResult {
-                name: class.name.clone(),
-                spec: class.spec,
-                clients: class.clients,
-                requests: 0,
-                ok: 0,
-                rejected: 0,
-                failed: 0,
-                elapsed: Duration::ZERO,
-                latencies: Vec::new(),
-                digest_ok: true,
-            })
-        })
-        .collect();
-
-    std::thread::scope(|scope| {
-        for (ci, class) in classes.iter().enumerate() {
-            let expected_digest = expected[ci];
-            let result = &results[ci];
-            for _ in 0..class.clients {
-                scope.spawn(move || {
-                    let mut client =
-                        Client::connect(addr, Duration::from_secs(30)).expect("connect");
-                    let body = query_body(Some(&class.name), class.spec, &demo.query_json);
-                    let mut ok = 0usize;
-                    let mut rejected = 0usize;
-                    let mut failed = 0usize;
-                    let mut digest_ok = true;
-                    let mut latencies = Vec::with_capacity(class.requests_per_client);
-                    let loop_start = Instant::now();
-                    for _ in 0..class.requests_per_client {
-                        let start = Instant::now();
-                        match client.post("/query", &body) {
-                            Ok(response) => {
-                                latencies.push(start.elapsed());
-                                match response.status {
-                                    200 => {
-                                        ok += 1;
-                                        let served = response
-                                            .json()
-                                            .ok()
-                                            .and_then(|v| relation_from_json(&v).ok())
-                                            .map(|rel| rel.digest());
-                                        if served != Some(expected_digest) {
-                                            digest_ok = false;
-                                        }
-                                    }
-                                    429 => rejected += 1,
-                                    _ => failed += 1,
-                                }
-                            }
-                            Err(_) => {
-                                latencies.push(start.elapsed());
-                                failed += 1;
-                            }
-                        }
-                    }
-                    let elapsed = loop_start.elapsed();
-                    let mut result = result.lock().expect("result poisoned");
-                    result.requests += class.requests_per_client;
-                    result.ok += ok;
-                    result.rejected += rejected;
-                    result.failed += failed;
-                    result.elapsed = result.elapsed.max(elapsed);
-                    result.latencies.extend(latencies);
-                    result.digest_ok &= digest_ok;
-                });
-            }
-        }
-    });
-    server.shutdown();
-
-    results
-        .into_iter()
-        .map(|m| {
-            let mut r = m.into_inner().expect("result poisoned");
-            r.latencies.sort();
-            r
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use beas_core::ResourceSpec;
 
     #[test]
     fn demo_engine_serves_the_demo_query() {
@@ -311,39 +119,5 @@ mod tests {
         let answer = demo.engine.answer(&demo.query, ResourceSpec::FULL).unwrap();
         assert!(answer.exact);
         assert!(!answer.answers.is_empty());
-    }
-
-    #[test]
-    fn serving_measurement_verifies_digests_and_rejects_the_saturator() {
-        let demo = demo_engine(800);
-        let full_budget = demo.engine.catalog().budget(&ResourceSpec::FULL).unwrap() as f64;
-        let classes = [
-            TenantClass {
-                name: "gold".into(),
-                policy: TenantPolicy::with_rate(1e12, 1e12),
-                spec: ResourceSpec::Ratio(0.1),
-                clients: 2,
-                requests_per_client: 15,
-            },
-            TenantClass {
-                name: "free".into(),
-                policy: TenantPolicy::with_rate(full_budget / 20.0, full_budget * 1.5),
-                spec: ResourceSpec::FULL,
-                clients: 2,
-                requests_per_client: 15,
-            },
-        ];
-        let results = measure_serving(&demo, &classes, 6);
-        let gold = &results[0];
-        let free = &results[1];
-        assert_eq!(gold.ok, 30, "the compliant tenant is never rejected");
-        assert_eq!(gold.failed + free.failed, 0);
-        assert!(free.rejected > 0, "the saturator must see 429s");
-        assert!(
-            gold.digest_ok && free.digest_ok,
-            "served answers must be bit-for-bit"
-        );
-        assert!(gold.throughput() > 0.0);
-        assert!(gold.quantile_ms(0.99) >= gold.quantile_ms(0.5));
     }
 }

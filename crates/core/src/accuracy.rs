@@ -17,7 +17,7 @@
 //! distance of `s` to the nearest exact answer (a valid upper bound), which
 //! makes the measure computable with a handful of query evaluations per query
 //! instead of one per candidate radius; this is an evaluation-side concern
-//! only and is documented in DESIGN.md.
+//! only.
 
 use std::collections::HashSet;
 

@@ -8,11 +8,11 @@
 //! query because the canonical schema `A_t` always provides a
 //! `R(∅ → attr(R), 2^k, d̄_k)` fallback for every relation (Lemma 4).
 //!
-//! This implementation makes one deliberate restriction (documented in
-//! DESIGN.md): fetches are only keyed on constants and *exactly* covered
-//! variables. When a key would have to come from an approximately covered
-//! variable, the planner falls back to the `A_t` whole-relation template
-//! instead, which keeps the coverage part of the accuracy bound honest.
+//! This implementation makes one deliberate restriction: fetches are only
+//! keyed on constants and *exactly* covered variables. When a key would have
+//! to come from an approximately covered variable, the planner falls back to
+//! the `A_t` whole-relation template instead, which keeps the coverage part
+//! of the accuracy bound honest.
 
 use std::collections::BTreeSet;
 

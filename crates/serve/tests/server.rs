@@ -352,6 +352,25 @@ fn saturating_tenant_gets_429_while_light_tenant_stays_served() {
             .tenant("gold", open_tenant()),
     );
 
+    // every admitted answer, of either tenant, is bit-for-bit the in-process
+    // answer at its spec: the saturating neighbour costs the compliant tenant
+    // neither admission nor accuracy
+    let query = nyc_hotels_query(&engine);
+    let in_process = |spec| engine.answer(&query, spec).unwrap().answers.digest();
+    let (free_digest, gold_digest) = (
+        in_process(ResourceSpec::FULL),
+        in_process(ResourceSpec::Ratio(0.2)),
+    );
+    let assert_served = |response: &beas_serve::Response, expected: u64| {
+        let answer = response.json().unwrap();
+        assert_eq!(
+            answer.get("digest").and_then(Json::as_str),
+            Some(format!("{expected:016x}").as_str())
+        );
+        let rows = beas_serve::relation_from_json(&answer).unwrap();
+        assert_eq!(rows.digest(), expected, "served rows re-digest differently");
+    };
+
     let saturator_429s = std::sync::atomic::AtomicUsize::new(0);
     let saturator_oks = std::sync::atomic::AtomicUsize::new(0);
     let mut gold_latencies: Vec<Duration> = Vec::new();
@@ -360,6 +379,7 @@ fn saturating_tenant_gets_429_while_light_tenant_stays_served() {
         let server = &server;
         let saturator_429s = &saturator_429s;
         let saturator_oks = &saturator_oks;
+        let assert_served = &assert_served;
         // 3 connections hammering the free tier with maximal-budget queries
         for _ in 0..3 {
             scope.spawn(move || {
@@ -368,7 +388,10 @@ fn saturating_tenant_gets_429_while_light_tenant_stays_served() {
                 for _ in 0..30 {
                     let response = c.post("/query", &body).unwrap();
                     match response.status {
-                        200 => saturator_oks.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
+                        200 => {
+                            assert_served(&response, free_digest);
+                            saturator_oks.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+                        }
                         429 => {
                             let retry = response.header("retry-after").unwrap_or("");
                             assert!(
@@ -395,6 +418,7 @@ fn saturating_tenant_gets_429_while_light_tenant_stays_served() {
                 "the compliant tenant must never be rejected: {}",
                 response.body
             );
+            assert_served(&response, gold_digest);
         }
     });
 

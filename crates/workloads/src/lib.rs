@@ -4,8 +4,7 @@
 //! on-time performance + carrier statistics; TFACC: UK road accidents +
 //! public-transport access nodes) and on TPC-H data. Those datasets are not
 //! redistributable here, so this crate provides *synthetic* generators with
-//! the same relational shape, skew and key/foreign-key structure (see
-//! DESIGN.md §4 for the substitution argument):
+//! the same relational shape, skew and key/foreign-key structure:
 //!
 //! * [`tpch::tpch_lite`] — a scaled-down TPC-H-like star/snowflake schema;
 //! * [`airca::airca_lite`] — flights, carriers, airports, carrier statistics;

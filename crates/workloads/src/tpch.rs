@@ -55,7 +55,7 @@ pub fn tpch_schema() -> DatabaseSchema {
                 Attribute::id("s_suppkey"),
                 Attribute::id("s_nationkey"),
                 // numeric distances are normalised by the attribute's range so
-                // a full-range error counts as distance 1 (see DESIGN.md)
+                // a full-range error counts as distance 1 (`Attribute::scaled`)
                 Attribute::scaled("s_acctbal", ValueType::Double, 11_000),
             ],
         ),

@@ -10,7 +10,8 @@
 use beas::prelude::*;
 
 fn main() {
-    // a synthetic stand-in for the paper's AIRCA dataset (see DESIGN.md §4)
+    // a synthetic stand-in for the paper's AIRCA dataset (see the
+    // `beas-workloads` crate docs for why the datasets are synthetic)
     let dataset = airca_lite(4, 2024);
     println!(
         "AIRCA-lite: {} tuples across {} relations",
