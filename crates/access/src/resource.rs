@@ -232,8 +232,8 @@ mod tests {
     #[test]
     fn bad_ratio_errors_name_the_value_and_the_range_consistently() {
         // the same shape whether the ratio fails to parse, parses out of
-        // range, or is rejected by the typed constructor — clients (loadgen,
-        // the serve front-end) surface these verbatim
+        // range, or is rejected by the typed constructor — clients (the
+        // serve front-end, the `figures` CLI) surface these verbatim
         // `nan` parses as an f64 and is rejected by validation, echoed as `NaN`
         for (input, offending) in [("ratio:x", "x"), ("ratio:1.5", "1.5"), ("ratio:nan", "NaN")] {
             let msg = input.parse::<ResourceSpec>().unwrap_err().to_string();

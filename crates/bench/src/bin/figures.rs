@@ -12,7 +12,7 @@
 use beas_bench::figures::{
     all_figures, fig6_accuracy_vs_alpha, fig6d_mac_vs_alpha, fig6ef_accuracy_vs_scale,
     fig6g_accuracy_vs_sel, fig6h_accuracy_vs_prod, fig6i_accuracy_vs_kind, fig6j_exact_ratio,
-    fig6k_index_size, fig6l_efficiency, fig_kernels, fig_slo, DatasetId,
+    fig6k_index_size, fig6l_efficiency, fig_kernels, DatasetId,
 };
 use beas_bench::harness::Metric;
 use beas_bench::{BenchProfile, Table};
@@ -38,9 +38,8 @@ fn main() {
                 if value.trim_start().starts_with("eta:") {
                     eprintln!(
                         "`{value}` is an accuracy target, not a resource spec; the figure \
-                         sweeps are budget-denominated — run `figures slo` for the \
-                         accuracy-SLO table, or `loadgen --eta <target>` for a targeted \
-                         closed loop"
+                         sweeps are budget-denominated — send it as the `\"target\"` field \
+                         of `POST /query`; `examples/slo.rs` shows targeted serving"
                     );
                     std::process::exit(2);
                 }
@@ -89,12 +88,10 @@ fn main() {
                 "fig6k" => tables.push(fig6k_index_size(&profile)),
                 "fig6l" => tables.push(fig6l_efficiency(&profile)),
                 "kernel" => tables.push(fig_kernels(&profile)),
-                "cluster" => tables.push(beas_bench::cluster::fig_cluster(&profile)),
-                "slo" => tables.push(fig_slo(&profile)),
                 other => {
                     eprintln!("unknown figure id: {other}");
                     eprintln!(
-                        "known ids: fig6a fig6b fig6c fig6d fig6e fig6f fig6g fig6h fig6i fig6j fig6k fig6l kernel cluster slo all"
+                        "known ids: fig6a fig6b fig6c fig6d fig6e fig6f fig6g fig6h fig6i fig6j fig6k fig6l kernel all"
                     );
                     std::process::exit(2);
                 }

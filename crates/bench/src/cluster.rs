@@ -1,21 +1,15 @@
-//! The distributed-serving experiment: budget-proportional scatter-gather
-//! over a `beas-cluster` coordinator, checked against the single-node
-//! engine.
+//! The demo cluster fixture that `examples/cluster.rs` and
+//! `examples/cluster_faults.rs` serve.
 //!
 //! The demo workload is a three-relation database (people, points of
 //! interest, visits) so a three-shard cluster owns one relation per node and
 //! the demo join query forces a cross-shard merge at the coordinator. Every
 //! helper here is deterministic — the same `rows` argument always produces
 //! the same database — so digests are stable across runs and processes:
-//! `figures cluster` and the `cluster-smoke` CI job both lean on that.
+//! the `cluster-smoke` CI job leans on that.
 
-use std::time::Instant;
-
-use beas_cluster::ClusterHandle;
-use beas_core::{Beas, BeasQuery, ConstraintSpec, ResourceSpec};
+use beas_core::{BeasQuery, ConstraintSpec};
 use beas_relal::{Attribute, Database, DatabaseSchema, RelationSchema, SpcQueryBuilder, Value};
-
-use crate::{BenchProfile, Table};
 
 /// The demo cluster database: `person`, `poi` and `visit`, sized so `poi`
 /// holds about `rows` tuples (the other relations scale along).
@@ -104,100 +98,9 @@ pub fn demo_cluster_join(schema: &DatabaseSchema) -> BeasQuery {
     b.build().expect("query").into()
 }
 
-/// Builds the demo cluster over `shards` nodes.
-pub fn demo_cluster(rows: i64, shards: usize) -> ClusterHandle {
-    ClusterHandle::builder(demo_cluster_db(rows), shards)
-        .constraint(demo_cluster_constraint())
-        .build()
-        .expect("demo cluster")
-}
-
-/// The `figures cluster` table: for shard counts {1, 2, 3} and a budget
-/// sweep, the cluster answer's η, accessed tuples, wall-clock and answer
-/// digest next to the single-node digest — with the equality asserted, not
-/// just printed.
-pub fn fig_cluster(profile: &BenchProfile) -> Table {
-    let rows = 4_000 * profile.scale.max(1) as i64;
-    let db = demo_cluster_db(rows);
-    let single = Beas::builder(db)
-        .constraint(demo_cluster_constraint())
-        .build()
-        .expect("single-node reference");
-    let queries = [
-        ("select", demo_cluster_query(single.schema())),
-        ("join", demo_cluster_join(single.schema())),
-    ];
-    let specs = [
-        ResourceSpec::Ratio(0.05),
-        ResourceSpec::Ratio(0.25),
-        ResourceSpec::FULL,
-    ];
-
-    let mut table = Table::new(
-        format!(
-            "figures cluster — scatter-gather vs single node (|poi| = {rows}, \
-             budget split = tariff floor + size-proportional slack)"
-        ),
-        vec![
-            "shards",
-            "query",
-            "spec",
-            "budget",
-            "accessed",
-            "eta",
-            "ms",
-            "digest",
-            "= single-node",
-        ],
-    );
-    for shards in [1usize, 2, 3] {
-        let cluster = demo_cluster(rows, shards);
-        for (label, query) in &queries {
-            for &spec in &specs {
-                let reference = single.answer(query, spec).expect("single-node answer");
-                let start = Instant::now();
-                let answer = cluster.answer(query, spec).expect("cluster answer");
-                let ms = start.elapsed().as_secs_f64() * 1e3;
-                let digest = answer.answers.digest();
-                let matches = digest == reference.answers.digest()
-                    && answer.eta.to_bits() == reference.eta.to_bits()
-                    && answer.accessed == reference.accessed;
-                assert!(
-                    matches,
-                    "cluster diverged from single node: shards {shards}, \
-                     query {label}, spec {spec}"
-                );
-                table.push_row(vec![
-                    shards.to_string(),
-                    (*label).to_string(),
-                    spec.to_string(),
-                    answer.budget.to_string(),
-                    answer.accessed.to_string(),
-                    format!("{:.4}", answer.eta),
-                    format!("{ms:.2}"),
-                    format!("{digest:016x}"),
-                    "yes".to_string(),
-                ]);
-            }
-        }
-    }
-    table
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fig_cluster_runs_and_asserts_equality_internally() {
-        let mut profile = BenchProfile::quick();
-        profile.scale = 1;
-        let table = fig_cluster(&profile);
-        let rendered = table.render();
-        assert!(rendered.contains("yes"));
-        // 3 shard counts × 2 queries × 3 specs
-        assert_eq!(rendered.matches("yes").count(), 18);
-    }
 
     #[test]
     fn demo_cluster_db_is_deterministic() {

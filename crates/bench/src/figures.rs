@@ -503,143 +503,8 @@ pub fn fig_kernels(profile: &BenchProfile) -> Table {
     table
 }
 
-/// The accuracy-SLO planner (`figures slo`): a cold engine serving an
-/// `eta:` target falls back to full evaluation (never over-promising); after
-/// a seeded warm-up over the budget ladder the planner resolves each target
-/// to the cheapest learned budget. One row per target η: the budget the
-/// curve chose, the achieved η, the tuples actually spent, and the one-shot
-/// full-evaluation cost it replaced — each row asserted to meet its target
-/// (or be honestly infeasible) before it is printed.
-pub fn fig_slo(profile: &BenchProfile) -> Table {
-    use beas_core::{AccuracyTarget, Beas, ConstraintSpec, ResourceSpec};
-    use beas_relal::{Attribute, Database, DatabaseSchema, RelationSchema, SpcQueryBuilder, Value};
-
-    // all-distinct prices: coarse levels genuinely approximate the exact
-    // fragment, so cheap budgets achieve η < 1 and the curve has a real
-    // trade-off to learn
-    let rows = 20_000 * profile.scale.max(1) as i64;
-    let schema = DatabaseSchema::new(vec![RelationSchema::new(
-        "poi",
-        vec![
-            Attribute::categorical("type"),
-            Attribute::text("city"),
-            Attribute::double("price"),
-        ],
-    )]);
-    let mut db = Database::new(schema);
-    let cities = ["NYC", "LA", "Chicago", "Boston", "Seattle"];
-    let types = ["hotel", "museum", "restaurant"];
-    for i in 0..rows {
-        db.insert_row(
-            "poi",
-            vec![
-                Value::from(types[(i % 3) as usize]),
-                Value::from(cities[(i % 5) as usize]),
-                Value::Double(20.0 + i as f64 / 7.0),
-            ],
-        )
-        .expect("insert");
-    }
-    let engine = Beas::builder(db)
-        .constraint(ConstraintSpec::new("poi", &["type", "city"], &["price"]))
-        .build()
-        .expect("slo engine");
-    let query: beas_core::BeasQuery = {
-        let mut b = SpcQueryBuilder::new(engine.schema());
-        let h = b.atom("poi", "h").expect("atom");
-        b.bind_const(h, "type", "hotel").expect("bind");
-        b.bind_const(h, "city", "NYC").expect("bind");
-        b.output(h, "price", "price").expect("output");
-        b.build().expect("query").into()
-    };
-    let full_budget = engine
-        .catalog()
-        .budget(&ResourceSpec::FULL)
-        .expect("full budget");
-
-    // cold contract, checked before ANY answer is served (every answer is an
-    // observation): no curve yet, so the planner must fall back to the
-    // catalog prior and still meet the target
-    let cold = engine
-        .answer_with_target(&query, &AccuracyTarget::new(0.95).expect("target"))
-        .expect("cold targeted answer");
-    assert!(!cold.curve_backed, "a fresh engine has no curve to back it");
-    assert!(
-        cold.feasible && cold.answer.eta >= 0.95,
-        "the cold fallback must never over-promise"
-    );
-
-    let full = engine
-        .answer(&query, ResourceSpec::FULL)
-        .expect("one-shot full answer");
-
-    // seeded warm-up: serve the budget ladder so the curve learns every rung
-    for _ in 0..3 {
-        for ratio in [0.02, 0.05, 0.1, 0.2, 0.4, 0.7, 1.0] {
-            engine
-                .answer(&query, ResourceSpec::Ratio(ratio))
-                .expect("warm-up answer");
-        }
-    }
-
-    let mut table = Table::new(
-        format!(
-            "Accuracy-SLO serving: curve-planned budgets after ladder warm-up \
-             (|D| = {rows}, full budget = {full_budget} tuples, one-shot full \
-             spend = {} tuples)",
-            full.accessed
-        ),
-        vec![
-            "target_eta",
-            "chosen_budget",
-            "achieved_eta",
-            "spent",
-            "escalations",
-            "curve_backed",
-            "budget_vs_full",
-        ],
-    );
-    for eta in [0.5, 0.8, 0.9, 0.95, 0.99, 1.0] {
-        let target = AccuracyTarget::new(eta).expect("target");
-        let served = engine
-            .answer_with_target(&query, &target)
-            .expect("targeted answer");
-        assert!(
-            served.answer.eta >= eta || !served.feasible,
-            "η = {} below target {eta} yet claimed feasible",
-            served.answer.eta
-        );
-        assert!(
-            served.answer.budget <= full_budget,
-            "the planner must never exceed the full budget"
-        );
-        table.push_row(vec![
-            Table::num(eta),
-            served.answer.budget.to_string(),
-            Table::num(served.answer.eta),
-            served.spent.to_string(),
-            served.escalations.to_string(),
-            served.curve_backed.to_string(),
-            format!(
-                "{:.0}%",
-                100.0 * served.answer.budget as f64 / full_budget as f64
-            ),
-        ]);
-    }
-    let counters = engine.slo_counters();
-    table.push_row(vec![
-        "store".to_string(),
-        format!("{} fp", counters.fingerprints),
-        format!("{} obs", counters.observations),
-        format!("{} hits", counters.prediction_hits),
-        format!("{} miss", counters.prediction_misses),
-        format!("{} settled", counters.settlements),
-        format!("±{:.0} spend", counters.mean_abs_spend_error()),
-    ]);
-    table
-}
-
-/// All figures, in paper order (used by `figures all`).
+/// Fig. 6(a)–(l) in paper order, then the kernel table (used by
+/// `figures all`).
 pub fn all_figures(profile: &BenchProfile) -> Vec<Table> {
     vec![
         fig6_accuracy_vs_alpha(DatasetId::Tpch, profile),
@@ -655,8 +520,6 @@ pub fn all_figures(profile: &BenchProfile) -> Vec<Table> {
         fig6k_index_size(profile),
         fig6l_efficiency(profile),
         fig_kernels(profile),
-        crate::cluster::fig_cluster(profile),
-        fig_slo(profile),
     ]
 }
 

@@ -15,14 +15,12 @@
 //! | Fig. 6(k) index sizes | [`figures::fig6k_index_size`] | `figures fig6k` |
 //! | Fig. 6(l) + Exp-5 efficiency | [`figures::fig6l_efficiency`] | `figures fig6l` |
 //!
-//! Beyond the paper's figures, three tables check a contract rather than a
+//! Beyond the paper's figures, one table checks a contract rather than a
 //! speed:
 //!
 //! | Table | Function | Binary target |
 //! |---|---|---|
 //! | kernel digests: chunked mask kernels vs the scalar reference | [`figures::fig_kernels`] | `figures kernel` |
-//! | cluster answers at 1/2/3 shards equal the single node's | [`cluster::fig_cluster`] | `figures cluster` |
-//! | accuracy-SLO budgets meet their η target | [`figures::fig_slo`] | `figures slo` |
 //!
 //! The η series of Exp-2 is reported alongside every accuracy figure. Absolute
 //! numbers differ from the paper (synthetic data at laptop scale instead of
@@ -33,7 +31,7 @@
 //! `cargo run --release --manifest-path benchmark/Cargo.toml -- --workload W`.
 //!
 //! The [`serving`] and [`cluster`] modules also hold the deterministic demo
-//! fixtures that `loadgen` and the `serve`/`cluster` examples use.
+//! fixtures that the `serve`, `cluster` and `cluster_faults` examples use.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

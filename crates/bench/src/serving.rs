@@ -1,7 +1,7 @@
 //! The demo serving fixture: a deterministic poi catalogue engine and its
-//! demo query, in both in-process and wire form. `loadgen`'s self-hosted
-//! mode and `examples/serve.rs` serve it. HTTP latency under load is
-//! measured by the `serve_http` workload of `benchmark/`.
+//! demo query, in both in-process and wire form, which `examples/serve.rs`
+//! serves. HTTP latency under load is measured by the `serve_http` workload
+//! of `benchmark/`.
 
 use std::sync::Arc;
 
@@ -75,30 +75,6 @@ pub fn demo_engine(n: i64) -> ServingDemo {
             .build()
             .expect("demo engine"),
     );
-    demo_with(engine)
-}
-
-/// Like [`demo_engine`], but durable at `dir`: warm-opens an existing store
-/// (returning how many WAL batches were replayed), or builds the demo engine
-/// and persists it there. `n` only matters on the cold path.
-pub fn demo_engine_durable(n: i64, dir: &std::path::Path) -> (ServingDemo, Option<u64>) {
-    if beas_core::Store::is_initialized(dir) {
-        let engine = Arc::new(Beas::open(dir).expect("warm open of the demo store"));
-        let replayed = engine.stats().replayed_batches;
-        (demo_with(engine), Some(replayed))
-    } else {
-        let engine = Arc::new(
-            Beas::builder(demo_db(n))
-                .constraint(demo_constraint())
-                .persist_to(dir)
-                .build()
-                .expect("demo engine (persisted)"),
-        );
-        (demo_with(engine), None)
-    }
-}
-
-fn demo_with(engine: Arc<Beas>) -> ServingDemo {
     let query_json = demo_query_json();
     let query = beas_serve::query_from_json(&query_json, engine.schema()).expect("demo query");
     ServingDemo {

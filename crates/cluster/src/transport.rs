@@ -125,11 +125,10 @@ impl FaultRates {
 }
 
 /// A [`ShardTransport`] decorator injecting faults by a seeded, deterministic
-/// schedule — the chaos harness behind `tests/chaos.rs` and
-/// `loadgen --flaky`. Faults are chosen per call from a splitmix64 stream, so
-/// a (seed, call sequence) pair replays the exact same schedule. Independent
-/// of the schedule, any shard can be hard-failed with
-/// [`FaultInjectingTransport::set_down`].
+/// schedule — the chaos harness behind `tests/chaos.rs`. Faults are chosen
+/// per call from a splitmix64 stream, so a (seed, call sequence) pair
+/// replays the exact same schedule. Independent of the schedule, any shard
+/// can be hard-failed with [`FaultInjectingTransport::set_down`].
 ///
 /// The decorator distinguishes faults *before* the shard executes (drops)
 /// from faults *after* (disconnects, garbles, late delays): the latter leave

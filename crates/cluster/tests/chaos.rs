@@ -9,8 +9,9 @@
 //! (relation, η, accessed, exactness), or flagged `partial: true` with an
 //! η lower bound the healthy answer satisfies.**
 //!
-//! A separate test kills a shard mid-refinement-session and expects a
-//! partial step followed by a clean rejoin; a third drives the same story
+//! A second test holds the invariant with four threads sharing one faulty
+//! coordinator. Another kills a shard mid-refinement-session and expects a
+//! partial step followed by a clean rejoin; a fourth drives the same story
 //! over real TCP shard servers, re-pointing the transport at the rejoined
 //! shard's new port.
 
@@ -258,6 +259,59 @@ fn chaotic_answers_are_either_bit_for_bit_or_honestly_partial() {
         partials > 0,
         "the heavy rounds must exhaust some retry budgets \
          ({clean} clean answers, {injected} faults injected)"
+    );
+}
+
+#[test]
+fn threads_sharing_one_faulty_coordinator_keep_the_invariant() {
+    const THREADS: usize = 4;
+    const ANSWERS: usize = 25;
+    let mut rng = StdRng::seed_from_u64(0x5AA7ED);
+    let db = random_db(&mut rng);
+    let single = Beas::builder(db.clone())
+        .constraint(ConstraintSpec::new("poi", &["city", "kind"], &["stars"]))
+        .min_shard_rows(2)
+        .build()
+        .unwrap();
+    let budgets = [
+        ResourceSpec::Tuples(9),
+        ResourceSpec::Ratio(0.3),
+        ResourceSpec::FULL,
+    ];
+    // every (query, budget) pair with its healthy answer, computed up front
+    let cases: Vec<(BeasQuery, ResourceSpec, BeasAnswer)> = (0..3)
+        .flat_map(|_| {
+            let query = random_query(&mut rng, single.schema());
+            budgets.map(|budget| {
+                let healthy = single.answer(&query, budget).unwrap();
+                (query.clone(), budget, healthy)
+            })
+        })
+        .collect();
+    // heavy enough that a few answers exhaust their retries and come back
+    // partial, while most are absorbed and stay bit-for-bit
+    let (cluster, faulty) = chaos_cluster(db, 3, 2, 0xF7A4, FaultRates::uniform(120));
+
+    // one coordinator, one transport, one fault schedule: the threads'
+    // calls interleave through all three, from a common start
+    let start = std::sync::Barrier::new(THREADS);
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (cluster, cases, start) = (&cluster, &cases, &start);
+            scope.spawn(move || {
+                start.wait();
+                for i in 0..ANSWERS {
+                    let (query, budget, healthy) = &cases[(t * ANSWERS + i) % cases.len()];
+                    let answer = cluster.answer(query, *budget).unwrap();
+                    let ctx = format!("thread {t}, answer {i}, budget {budget}");
+                    assert_chaos_invariant(&answer, healthy, &ctx);
+                }
+            });
+        }
+    });
+    assert!(
+        faulty.injected() > 0,
+        "the fault schedule must actually inject"
     );
 }
 

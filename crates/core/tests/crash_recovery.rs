@@ -9,10 +9,16 @@
 //! `Relation` equality would be blind to `NaN` vs `NaN`), and the adversarial
 //! float values — `NaN`, `-0.0`, `±∞` — ride through both the snapshot and
 //! the WAL.
+//!
+//! One test crashes a real process: this test binary re-runs itself as a
+//! child that acknowledges update batches until it is killed with SIGKILL.
 
 use std::fs;
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use beas_core::{Beas, BeasQuery, ConstraintSpec, ResourceSpec, StoreOptions, UpdateBatch};
 use beas_relal::{
@@ -326,5 +332,105 @@ fn recovered_engine_keeps_accepting_and_logging_updates() {
         .map(|h| h.join().unwrap().answers.digest())
         .collect();
     assert!(digests.windows(2).all(|w| w[0] == w[1]));
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Names the store directory of the child half of
+/// `acknowledged_batches_survive_kill_9`; unset, the child does nothing.
+const KILL_CHILD_STORE: &str = "BEAS_KILL_CHILD_STORE";
+const KILL_ROWS: i64 = 100;
+const KILL_SEED: u64 = SEED ^ 0x9;
+
+/// The child: a durable engine (default `sync_wal: true`, compaction off so
+/// every batch stays in the WAL) that applies seeded batches and prints
+/// `acked <k>` once the k-th `apply_update` has returned. It stops on its own
+/// only if no kill arrives within a minute.
+#[test]
+#[ignore = "the child process of acknowledged_batches_survive_kill_9"]
+fn kill_9_child_acknowledges_batches_until_killed() {
+    let Some(dir) = std::env::var_os(KILL_CHILD_STORE) else {
+        return;
+    };
+    let engine = Beas::builder(base_db(KILL_ROWS))
+        .constraint(ConstraintSpec::new("sensor", &["site"], &["reading"]))
+        .persist_with(
+            Path::new(&dir),
+            StoreOptions {
+                compact_wal_bytes: u64::MAX,
+                compact_wal_batches: u64::MAX,
+                ..StoreOptions::default()
+            },
+        )
+        .build()
+        .unwrap();
+    let mut rng = StdRng::seed_from_u64(KILL_SEED);
+    let mut next_id = KILL_ROWS;
+    let deadline = Instant::now() + Duration::from_secs(60);
+    for k in 1.. {
+        engine
+            .apply_update(&random_batch(&mut rng, &mut next_id))
+            .unwrap();
+        println!("acked {k}");
+        if Instant::now() > deadline {
+            break;
+        }
+    }
+}
+
+/// A batch is durable and visible, or neither: SIGKILL a process that is
+/// applying batches, reopen its store, and find every acknowledged batch —
+/// plus at most the one in flight — bit-for-bit.
+#[test]
+fn acknowledged_batches_survive_kill_9() {
+    let dir = scratch("kill-9");
+    let mut child = Command::new(std::env::current_exe().unwrap())
+        .args([
+            "--exact",
+            "kill_9_child_acknowledges_batches_until_killed",
+            "--ignored",
+            "--nocapture",
+        ])
+        .env(KILL_CHILD_STORE, &dir)
+        .stdout(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let ack = |line: std::io::Result<String>| -> Option<usize> {
+        line.unwrap().strip_prefix("acked ")?.parse().ok()
+    };
+    let mut lines = BufReader::new(child.stdout.take().unwrap()).lines();
+    let mut acked = 0;
+    while acked < 5 {
+        let line = lines.next().expect("the child exited before 5 acks");
+        acked = ack(line).unwrap_or(acked);
+    }
+    child.kill().unwrap();
+    // acks the child printed between the fifth and the kill
+    for line in lines {
+        acked = ack(line).unwrap_or(acked);
+    }
+    let status = child.wait().unwrap();
+    assert!(!status.success(), "the child finished before the kill");
+
+    let reopened = Beas::open(&dir).unwrap();
+    let replayed = reopened.stats().replayed_batches as usize;
+    assert!(
+        replayed == acked || replayed == acked + 1,
+        "{acked} batches acknowledged, {replayed} replayed"
+    );
+    let reference = build_reference(KILL_ROWS);
+    let mut rng = StdRng::seed_from_u64(KILL_SEED);
+    let mut next_id = KILL_ROWS;
+    for _ in 0..replayed {
+        reference
+            .apply_update(&random_batch(&mut rng, &mut next_id))
+            .unwrap();
+    }
+    assert_eq!(
+        fingerprint(&reopened),
+        fingerprint(&reference),
+        "the store reopened after the kill diverges from an engine that \
+         applied the {replayed} replayed batches"
+    );
+    drop(reopened);
     fs::remove_dir_all(&dir).unwrap();
 }

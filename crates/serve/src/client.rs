@@ -1,6 +1,6 @@
 //! A minimal blocking HTTP/1.1 client over one keep-alive connection — just
-//! enough to drive the server from tests, the bench serving experiment and
-//! the `loadgen` binary without pulling in a dependency.
+//! enough to drive the server from tests, examples and the benchmark without
+//! pulling in a dependency.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};

@@ -140,11 +140,25 @@ pub fn read_request(
             "chunked transfer encoding is not supported".into(),
         ));
     }
-    let content_length: usize = match header("content-length") {
+    // RFC 9112 §6.3: a length that is not 1*DIGIT, or two that disagree,
+    // leaves the message boundary ambiguous — reject rather than guess
+    let mut lengths = headers
+        .iter()
+        .filter(|(k, _)| k == "content-length")
+        .map(|(_, v)| v.as_str());
+    let content_length: usize = match lengths.next() {
         None => 0,
-        Some(v) => v
-            .parse()
-            .map_err(|_| HttpError::Bad(format!("bad content-length `{v}`")))?,
+        Some(v) => {
+            if let Some(other) = lengths.find(|other| *other != v) {
+                return Err(HttpError::Bad(format!(
+                    "conflicting content-length `{v}` and `{other}`"
+                )));
+            }
+            v.parse()
+                .ok()
+                .filter(|_| v.bytes().all(|b| b.is_ascii_digit()))
+                .ok_or_else(|| HttpError::Bad(format!("bad content-length `{v}`")))?
+        }
     };
     if content_length > max_body {
         return Err(HttpError::TooLarge {
@@ -523,6 +537,50 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(1));
         }
+        server.shutdown();
+    }
+
+    /// Sends `request` in one write and reads until the server closes.
+    fn raw_exchange(addr: SocketAddr, request: &str) -> String {
+        let mut raw = TcpStream::connect(addr).unwrap();
+        raw.set_read_timeout(Some(TIMEOUT)).unwrap();
+        raw.write_all(request.as_bytes()).unwrap();
+        let mut text = String::new();
+        raw.read_to_string(&mut text).unwrap();
+        text
+    }
+
+    #[test]
+    fn ambiguous_content_length_is_rejected_and_identical_duplicates_are_not() {
+        let server = echo_server();
+        // a signed length: `usize::from_str` accepts `+5`, HTTP does not
+        let text = raw_exchange(
+            server.addr(),
+            "POST /echo HTTP/1.1\r\ncontent-length: +5\r\n\r\nhello",
+        );
+        assert!(text.starts_with("HTTP/1.1 400 Bad Request\r\n"), "{text}");
+        assert!(text.contains("bad content-length `+5`"), "{text}");
+        // two lengths that disagree: honouring the first would serve the
+        // remaining bytes as a second, smuggled request
+        let smuggled = "GET /nope HTTP/1.1\r\n\r\n";
+        let text = raw_exchange(
+            server.addr(),
+            &format!(
+                "POST /echo HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: {}\r\n\r\nhello{smuggled}",
+                5 + smuggled.len()
+            ),
+        );
+        assert!(text.starts_with("HTTP/1.1 400 Bad Request\r\n"), "{text}");
+        assert!(text.contains("conflicting content-length"), "{text}");
+        assert_eq!(text.matches("HTTP/1.1 ").count(), 1, "{text}");
+        // the same length twice frames the message unambiguously
+        let text = raw_exchange(
+            server.addr(),
+            "POST /echo HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\
+             Connection: close\r\n\r\nhello",
+        );
+        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
+        assert!(text.ends_with("\r\n\r\nhello"), "{text}");
         server.shutdown();
     }
 

@@ -62,7 +62,7 @@ pub use admission::{Rejection, Tenant, TenantPolicy, TenantRegistry};
 pub use client::{Client, Response};
 pub use json::{parse as parse_json, Json};
 pub use metrics::{LatencyHistogram, TenantMetrics};
-pub use server::{query_body, serve, target_body, update_body, RunningServer, ServeConfig};
+pub use server::{query_body, serve, update_body, RunningServer, ServeConfig};
 pub use wire::{
     answer_to_json, query_from_json, query_to_json, relation_from_json, relation_to_json,
     schedule_from_json, step_to_json, update_from_json, value_from_json, value_to_json, WireError,

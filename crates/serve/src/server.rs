@@ -961,22 +961,6 @@ pub fn query_body(tenant: Option<&str>, spec: ResourceSpec, query: &Json) -> Str
     Json::obj(pairs).to_string()
 }
 
-/// Convenience: builds the canonical accuracy-targeted `POST /query` body
-/// (`target` instead of `spec`).
-pub fn target_body(
-    tenant: Option<&str>,
-    target: &beas_core::AccuracyTarget,
-    query: &Json,
-) -> String {
-    let mut pairs = Vec::new();
-    if let Some(tenant) = tenant {
-        pairs.push(("tenant", Json::Str(tenant.to_string())));
-    }
-    pairs.push(("target", Json::Str(target.to_string())));
-    pairs.push(("query", query.clone()));
-    Json::obj(pairs).to_string()
-}
-
 /// Convenience: builds the canonical `POST /update` body.
 pub fn update_body(tenant: Option<&str>, batch: &UpdateBatch) -> String {
     let inserts: Vec<Json> = batch

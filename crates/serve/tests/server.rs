@@ -907,8 +907,8 @@ fn accuracy_targets_are_served_settled_and_reported_in_metrics() {
     assert!(r.body.contains("(0, 1]"), "{}", r.body);
 
     // cold engine: the target is still met — never over-promised
-    let target_body = format!(r#"{{"target":"eta:0.9","query":{}}}"#, nyc_hotels_json());
-    let r = c.post("/query", &target_body).unwrap();
+    let targeted = format!(r#"{{"target":"eta:0.9","query":{}}}"#, nyc_hotels_json());
+    let r = c.post("/query", &targeted).unwrap();
     assert_eq!(r.status, 200, "{}", r.body);
     let a = r.json().unwrap();
     assert_eq!(a.get("feasible").and_then(Json::as_bool), Some(true));
@@ -930,7 +930,7 @@ fn accuracy_targets_are_served_settled_and_reported_in_metrics() {
             assert_eq!(r.status, 200, "{}", r.body);
         }
     }
-    let r = c.post("/query", &target_body).unwrap();
+    let r = c.post("/query", &targeted).unwrap();
     assert_eq!(r.status, 200, "{}", r.body);
     let a = r.json().unwrap();
     assert_eq!(a.get("feasible").and_then(Json::as_bool), Some(true));

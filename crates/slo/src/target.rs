@@ -150,9 +150,9 @@ mod tests {
     #[test]
     fn bad_eta_errors_name_the_value_and_the_range_consistently() {
         // the same shape whether the target fails to parse, parses out of
-        // range, or is rejected by the typed constructor — clients (loadgen,
-        // the serve front-end) surface these verbatim, matching the
-        // `ratio:` error idiom
+        // range, or is rejected by the typed constructor — the serve
+        // front-end surfaces these verbatim, matching the `ratio:` error
+        // idiom
         for (input, offending) in [
             ("eta:x", "x"),
             ("eta:1.5", "1.5"),

@@ -14,7 +14,7 @@
 //! 3. **rejoin** — the shard is re-served on a fresh port, the transport is
 //!    re-pointed, and answers are bit-for-bit clean again.
 //!
-//! The `chaos-smoke` CI job greps the digest lines this example prints.
+//! The `cluster-smoke` CI job greps the digest lines this example prints.
 //!
 //! ```text
 //! cargo run --example cluster_faults
