@@ -27,9 +27,9 @@ use std::time::{Duration, Instant};
 use beas_access::{AtOptions, BudgetPolicy, Catalog};
 use beas_core::{
     calibrated_min_shard_rows, compose_plan_answer_partial, evaluate_plan_leaf, node_keys,
-    AccuracyTarget, Beas, BeasAnswer, BeasQuery, BoundedPlan, ConstraintSpec, CurveStore,
-    ExecOptions, ExecState, ExecutionOutcome, LeafEval, LeafPlan, PlanFragments, Planner,
-    QueryFingerprint, RefinementSchedule, ResourceSpec, SloCounters, SloPrior, TargetedAnswer,
+    AccuracyTarget, Beas, BeasAnswer, BeasQuery, BoundedPlan, ConstraintSpec, ExecOptions,
+    ExecState, ExecutionOutcome, LeafEval, LeafPlan, PlanFragments, Planner, RefinementSchedule,
+    ResourceSpec, TargetedAnswer,
 };
 use beas_relal::{Database, DatabaseSchema};
 use beas_serve::{query_from_json, query_to_json, relation_from_json, Json};
@@ -295,20 +295,6 @@ impl ClusterBuilder {
             })
             .collect();
         let metrics = Arc::new(ClusterMetrics::new(self.shards));
-        // the coordinator's own η-vs-budget curve store: targeted cluster
-        // answers are resolved to a budget here, once, before the split
-        let slo = Arc::new(CurveStore::new());
-        // SLO sampler: the coordinator store's counters merged with every
-        // shard engine's, the same aggregation shape as storage below
-        let slo_nodes = nodes.clone();
-        let slo_sample = Arc::clone(&slo);
-        metrics.set_slo_provider(move || {
-            let mut total = slo_sample.snapshot();
-            for node in &slo_nodes {
-                total.merge(&node.engine().slo_counters());
-            }
-            total
-        });
         // storage sampler: sum the shard engines' storage-tier counters so
         // `GET /metrics` shows cluster-wide WAL/snapshot/page-in activity
         // (all zero until shards run on durable stores)
@@ -335,7 +321,6 @@ impl ClusterBuilder {
             threads,
             min_shard_rows,
             metrics,
-            slo,
             retry: self.retry,
             degraded: self.degraded,
             next_session: AtomicU64::new(1),
@@ -409,9 +394,6 @@ pub struct ClusterHandle {
     threads: usize,
     min_shard_rows: usize,
     metrics: Arc<ClusterMetrics>,
-    /// The coordinator's η-vs-budget curve store — targets are resolved to a
-    /// budget here before the split, and every answered step feeds it.
-    slo: Arc<CurveStore>,
     retry: RetryPolicy,
     degraded: DegradedPolicy,
     next_session: AtomicU64,
@@ -527,27 +509,19 @@ impl ClusterHandle {
         let result = self.run_step(session, &qjson, &plan, &mut state);
         self.close_all(session);
         let (answer, _, outage) = result?;
-        // every served answer is an observation the SLO planner learns from
-        self.slo.observe(
-            QueryFingerprint::of(&normalized).as_u128(),
-            self.catalog.version,
-            budget,
-            answer.eta,
-            answer.accessed,
-        );
         Ok((answer, outage))
     }
 
-    /// Answers `query` at an accuracy SLO, distributed: the coordinator
-    /// resolves the target to a tuple budget **once** — off its learned
-    /// η-vs-budget curve, or the catalog prior (full evaluation) when cold —
-    /// and then splits that budget across the shards exactly like a
-    /// budget-denominated [`ClusterHandle::answer`]. When the achieved η
-    /// still falls short, the budget doubles and the step re-runs in the
+    /// Answers `query` at an accuracy target, distributed: the coordinator
+    /// searches the budget once over the cluster catalog
+    /// ([`Planner::plan_for_target`], the single node's search on the same
+    /// planning surface) and splits it across the shards exactly like a
+    /// budget-denominated [`ClusterHandle::answer`]. A set difference whose
+    /// executed η still falls short doubles its budget and re-runs in the
     /// same shard sessions (re-using fetched fragments), up to
     /// `target.max_budget`; an answer that misses the target there comes
-    /// back [`TargetedAnswer::feasible`]` == false` rather than pretending.
-    /// Every attempt feeds the coordinator curve store.
+    /// back [`TargetedAnswer::feasible`]` == false`. Bit-for-bit what
+    /// [`Beas::answer_with_target`] returns on one node.
     pub fn answer_with_target(
         &self,
         query: &BeasQuery,
@@ -565,110 +539,55 @@ impl ClusterHandle {
                 target.max_budget
             )));
         }
-        let fp = QueryFingerprint::of(&normalized).as_u128();
-        let version = self.catalog.version;
-        let predicted = self.slo.plan_budget(fp, version, target.eta, max_budget);
-        let curve_backed = predicted.is_some();
-        let first_budget = predicted
-            .unwrap_or_else(|| SloPrior::from_catalog(&self.catalog).exact_budget)
-            .clamp(1, max_budget);
+        let planner = Planner::new(&self.catalog);
+        let (first, _) = planner.plan_for_target(&normalized, target.eta, max_budget)?;
+        let predicted_budget = first.budget;
 
         let session = self.next_session.fetch_add(1, Ordering::Relaxed);
         let mut state = ExecState::new();
-        let mut budget = first_budget;
+        let mut plan = first;
         let mut escalations = 0usize;
         let mut spent = 0usize;
         let result: Result<BeasAnswer> = (|| loop {
-            let plan = Planner::new(&self.catalog).plan_with_budget(&normalized, budget)?;
             let (answer, stats, _) = self.run_step(session, &qjson, &plan, &mut state)?;
             // shards bill only freshly fetched tuples across the escalation
             // chain, so the cumulative materialized count is the true spend
             spent = stats.fetched_cum;
-            self.slo
-                .observe(fp, version, budget, answer.eta, answer.accessed);
-            if answer.eta >= target.eta || budget >= max_budget {
+            if answer.eta >= target.eta || plan.budget >= max_budget {
                 return Ok(answer);
             }
             escalations += 1;
-            budget = budget.saturating_mul(2).min(max_budget);
+            let budget = plan.budget.saturating_mul(2).min(max_budget);
+            plan = planner.plan_with_budget(&normalized, budget)?;
         })();
         self.close_all(session);
         let answer = result?;
-        let feasible = answer.eta >= target.eta;
-        // a "hit" is a curve-backed first attempt that met the target with
-        // no escalation; cold and escalated answers count as misses
-        self.slo.record_settlement(
-            curve_backed && feasible && escalations == 0,
-            first_budget,
-            spent,
-        );
         Ok(TargetedAnswer {
             spec: ResourceSpec::Tuples(answer.budget),
+            feasible: answer.eta >= target.eta,
             answer,
             target: *target,
-            predicted_budget: first_budget,
+            predicted_budget,
             spent,
-            feasible,
-            curve_backed,
             escalations,
         })
-    }
-
-    /// The cluster-wide accuracy-SLO counters: the coordinator curve store
-    /// merged with every shard engine's (the same aggregation `GET /metrics`
-    /// serves under `slo`).
-    pub fn slo_counters(&self) -> SloCounters {
-        let mut total = self.slo.snapshot();
-        for node in &self.nodes {
-            total.merge(&node.engine().slo_counters());
-        }
-        total
     }
 
     /// Opens a progressive refinement session over `schedule`: each step
     /// answers at the next budget, reusing fragments fetched by earlier
     /// steps on every shard — the distributed counterpart of
-    /// [`beas_core::AnswerSession`].
+    /// [`beas_core::AnswerSession`]. The trajectory is
+    /// [`RefinementSchedule::resolve`]d against the cluster catalog, so
+    /// fixed and accuracy-goal schedules run the single node's steps.
     pub fn session(
         &self,
         query: &BeasQuery,
         schedule: RefinementSchedule,
     ) -> Result<ClusterSession<'_>> {
-        if let Some(eta) = schedule.accuracy_goal() {
-            // adaptive (accuracy-goal) trajectories are planned against one
-            // engine's curve store and have no escalation loop — on a
-            // cluster the accuracy-denominated entry point is
-            // `answer_with_target`, which resolves the target once and
-            // splits the resolved budget
-            return Err(ClusterError::Config(format!(
-                "accuracy-goal schedules (to_accuracy({eta})) are single-node only; \
-                 use ClusterHandle::answer_with_target for accuracy-targeted \
-                 cluster answers"
-            )));
-        }
         let (qjson, normalized) = self.normalize(query)?;
-        let mut steps: Vec<(ResourceSpec, usize)> = Vec::with_capacity(schedule.len());
-        for &spec in schedule.specs() {
-            let budget = self.catalog.budget(&spec)?;
-            if budget == 0 {
-                return Err(ClusterError::Config(format!(
-                    "refinement schedule step {spec} resolves to a zero budget"
-                )));
-            }
-            match steps.last_mut() {
-                Some((last_spec, last_budget)) if *last_budget == budget => *last_spec = spec,
-                Some((_, last_budget)) if budget < *last_budget => {
-                    return Err(ClusterError::Config(format!(
-                        "refinement schedule budgets must not decrease: \
-                         {spec} resolves to {budget} after {last_budget}"
-                    )));
-                }
-                _ => steps.push((spec, budget)),
-            }
-        }
+        let steps = schedule.resolve(&self.catalog, &normalized)?;
         Ok(ClusterSession {
             handle: self,
-            fp: QueryFingerprint::of(&normalized).as_u128(),
             qjson,
             query: normalized,
             steps,
@@ -1118,8 +1037,6 @@ pub struct ClusterStep {
 /// fetched. Dropping the session closes it on every shard.
 pub struct ClusterSession<'h> {
     handle: &'h ClusterHandle,
-    /// The query fingerprint (SLO observation key).
-    fp: u128,
     qjson: Json,
     query: BeasQuery,
     steps: Vec<(ResourceSpec, usize)>,
@@ -1155,15 +1072,6 @@ impl ClusterSession<'_> {
         let (answer, stats, outage) =
             self.handle
                 .run_step(self.session, &self.qjson, &plan, &mut self.state)?;
-        // refinement steps are observations too — the curve learns the
-        // whole η-vs-budget ladder from one session
-        self.handle.slo.observe(
-            self.fp,
-            self.handle.catalog.version,
-            budget,
-            answer.eta,
-            answer.accessed,
-        );
         let reused = stats.reused_cum.saturating_sub(self.last_reused_cum);
         self.last_reused_cum = stats.reused_cum;
         Ok(ClusterStep {
@@ -1534,62 +1442,53 @@ mod tests {
     }
 
     #[test]
-    fn accuracy_targets_resolve_once_learn_online_and_settle() {
+    fn accuracy_targets_and_sessions_match_the_single_node() {
         let (cluster, single) = cluster_and_single(3);
-        let query = join_query(cluster.schema());
-        let target = AccuracyTarget::new(0.5).unwrap();
-        let full_budget = cluster.catalog().budget(&ResourceSpec::FULL).unwrap();
-
-        // cold: no curve — fall back to the prior, never over-promise
-        let cold = cluster.answer_with_target(&query, &target).unwrap();
-        assert!(!cold.curve_backed);
-        assert!(cold.feasible, "full evaluation always meets the target");
-        assert!(cold.answer.eta >= target.eta);
-
-        // warm up the coordinator curve across the budget ladder
-        for _ in 0..3 {
-            for spec in [
-                ResourceSpec::Ratio(0.1),
-                ResourceSpec::Ratio(0.3),
-                ResourceSpec::Ratio(0.6),
-                ResourceSpec::FULL,
-            ] {
-                cluster.answer(&query, spec).unwrap();
+        let key = |t: &TargetedAnswer| {
+            (
+                t.answer.answers.digest(),
+                t.answer.eta.to_bits(),
+                t.answer.budget,
+                t.answer.accessed,
+                t.predicted_budget,
+                t.spent,
+                t.feasible,
+                t.escalations,
+            )
+        };
+        for query in [join_query(cluster.schema()), sum_query(cluster.schema())] {
+            for eta in [0.5, 0.9, 1.0] {
+                let target = AccuracyTarget::new(eta).unwrap();
+                let c = cluster.answer_with_target(&query, &target).unwrap();
+                let s = single.answer_with_target(&query, &target).unwrap();
+                assert_eq!(key(&c), key(&s), "eta {eta}");
+                assert!(!c.feasible || c.answer.eta >= eta);
             }
         }
-        let warm = cluster.answer_with_target(&query, &target).unwrap();
-        assert!(warm.curve_backed, "the ladder must have warmed the curve");
-        assert!(warm.feasible && warm.answer.eta >= target.eta);
-        assert!(warm.answer.budget <= full_budget);
-        // the served answer is still the single-node answer at that budget
-        if warm.escalations == 0 {
-            let b = single
-                .answer(&query, ResourceSpec::Tuples(warm.answer.budget))
-                .unwrap();
-            assert_eq!(warm.answer.answers.digest(), b.answers.digest());
-            assert_eq!(warm.answer.eta.to_bits(), b.eta.to_bits());
+
+        // a to_accuracy session resolves to the single node's trajectory and
+        // runs the same steps, down to the final one
+        let query = join_query(cluster.schema());
+        let schedule = RefinementSchedule::to_accuracy(0.9).unwrap();
+        let mut cs = cluster.session(&query, schedule.clone()).unwrap();
+        let prepared = single.prepare(&query).unwrap();
+        let mut ss = prepared.session(schedule).unwrap();
+        assert_eq!(cs.trajectory(), ss.trajectory());
+        let (mut clast, mut slast) = (None, None);
+        while let Some(cstep) = cs.next_step() {
+            clast = Some(cstep.unwrap());
+            slast = Some(ss.next_step().unwrap().unwrap());
         }
+        assert!(ss.next_step().is_none());
+        let (clast, slast) = (clast.unwrap(), slast.unwrap());
+        assert_same(&clast.answer, &slast.answer);
+        assert_eq!(clast.spec, slast.spec);
+        assert_eq!(clast.budget_spent, slast.budget_spent);
+        drop(cs);
         // every shard session was closed again
         for node in cluster.nodes() {
             assert_eq!(node.open_sessions(), 0);
         }
-
-        // the metrics snapshot aggregates the coordinator store like storage
-        let counters = cluster.slo_counters();
-        assert!(counters.observations > 0);
-        assert_eq!(counters.settlements, 2);
-        let json = cluster.metrics().to_json();
-        let slo = json.get("slo").expect("slo object in cluster metrics");
-        assert_eq!(slo.get("settlements").and_then(Json::as_i64), Some(2));
-        assert!(slo.get("observations").and_then(Json::as_i64).unwrap() > 0);
-
-        // accuracy-goal schedules are single-node only: the cluster's
-        // accuracy entry point is answer_with_target
-        let err = cluster
-            .session(&query, RefinementSchedule::to_accuracy(0.9).unwrap())
-            .map(|_| ())
-            .unwrap_err();
-        assert!(err.to_string().contains("answer_with_target"), "{err}");
     }
 
     use crate::transport::{FaultInjectingTransport, FaultRates};

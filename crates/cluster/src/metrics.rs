@@ -13,7 +13,6 @@
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use beas_core::SloCounters;
 use beas_serve::http::{error_body, listen, Listener, Request};
 use beas_serve::{Json, LatencyHistogram};
 
@@ -71,10 +70,6 @@ pub struct StorageCounters {
 /// Closure that samples the cluster's storage counters on demand.
 type StorageProvider = Box<dyn Fn() -> StorageCounters + Send + Sync>;
 
-/// Closure that samples the cluster's accuracy-SLO counters on demand
-/// (coordinator curve store plus every shard engine, merged).
-type SloProvider = Box<dyn Fn() -> SloCounters + Send + Sync>;
-
 /// Coordinator metrics: per-shard budget allocation and latency, plus merge
 /// time. Cheap to record (one mutex around per-shard counters; the merge
 /// histogram is lock-free).
@@ -82,7 +77,6 @@ pub struct ClusterMetrics {
     inner: Mutex<Inner>,
     merge: LatencyHistogram,
     storage: Mutex<Option<StorageProvider>>,
-    slo: Mutex<Option<SloProvider>>,
 }
 
 impl std::fmt::Debug for ClusterMetrics {
@@ -105,7 +99,6 @@ impl ClusterMetrics {
             }),
             merge: LatencyHistogram::default(),
             storage: Mutex::new(None),
-            slo: Mutex::new(None),
         }
     }
 
@@ -122,21 +115,6 @@ impl ClusterMetrics {
     /// The current storage counters (`None` until a provider is installed).
     pub fn storage(&self) -> Option<StorageCounters> {
         let provider = self.storage.lock().expect("metrics poisoned");
-        provider.as_ref().map(|p| p())
-    }
-
-    /// Installs the accuracy-SLO sampler: called on every
-    /// [`ClusterMetrics::to_json`] to add an `slo` object to the snapshot.
-    /// The coordinator wires a closure merging its own curve store's
-    /// counters with every shard engine's.
-    pub fn set_slo_provider(&self, provider: impl Fn() -> SloCounters + Send + Sync + 'static) {
-        *self.slo.lock().expect("metrics poisoned") = Some(Box::new(provider));
-    }
-
-    /// The current cluster-wide SLO counters (`None` until a provider is
-    /// installed).
-    pub fn slo(&self) -> Option<SloCounters> {
-        let provider = self.slo.lock().expect("metrics poisoned");
         provider.as_ref().map(|p| p())
     }
 
@@ -268,22 +246,6 @@ impl ClusterMetrics {
                 ]),
             ));
         }
-        if let Some(slo) = self.slo() {
-            fields.push((
-                "slo",
-                Json::obj(vec![
-                    ("fingerprints", Json::Int(slo.fingerprints as i64)),
-                    ("observations", Json::Int(slo.observations as i64)),
-                    ("prediction_hits", Json::Int(slo.prediction_hits as i64)),
-                    ("prediction_misses", Json::Int(slo.prediction_misses as i64)),
-                    ("settlements", Json::Int(slo.settlements as i64)),
-                    (
-                        "mean_abs_spend_error",
-                        Json::Num(slo.mean_abs_spend_error()),
-                    ),
-                ]),
-            ));
-        }
         Json::obj(fields)
     }
 }
@@ -358,32 +320,6 @@ mod tests {
         );
         assert_eq!(storage.get("page_ins").and_then(Json::as_i64), Some(3));
         assert_eq!(metrics.storage().unwrap().segments_loaded, 5);
-    }
-
-    #[test]
-    fn slo_counters_appear_once_a_provider_is_installed() {
-        let metrics = ClusterMetrics::new(1);
-        assert!(metrics.to_json().get("slo").is_none());
-        assert!(metrics.slo().is_none());
-        metrics.set_slo_provider(|| SloCounters {
-            fingerprints: 3,
-            observations: 40,
-            prediction_hits: 8,
-            prediction_misses: 2,
-            settlements: 10,
-            spend_error_sum: 500,
-        });
-        let slo = metrics.to_json().get("slo").cloned().unwrap();
-        assert_eq!(slo.get("fingerprints").and_then(Json::as_i64), Some(3));
-        assert_eq!(slo.get("observations").and_then(Json::as_i64), Some(40));
-        assert_eq!(slo.get("prediction_hits").and_then(Json::as_i64), Some(8));
-        assert_eq!(slo.get("settlements").and_then(Json::as_i64), Some(10));
-        let err = slo
-            .get("mean_abs_spend_error")
-            .and_then(Json::as_f64)
-            .unwrap();
-        assert!((err - 50.0).abs() < 1e-12, "{err}");
-        assert_eq!(metrics.slo().unwrap().prediction_misses, 2);
     }
 
     #[test]

@@ -349,9 +349,11 @@ fn relevance_distances(
                 .fold(f64::INFINITY, f64::min)
         })
         .collect();
+    let mut fell_back = false;
     for b in &mut best {
         if b.is_infinite() {
             *b = cfg.fallback_cap;
+            fell_back = true;
         }
     }
     let cap = best.iter().cloned().fold(0.0f64, f64::max);
@@ -361,7 +363,14 @@ fn relevance_distances(
 
     // The inner RA query (aggregates judge relevance against Q', projected).
     let inner = query.ra().to_ra(&db.schema)?;
-    let grid = relaxation_grid(cap, cfg.relax_grid);
+    let mut grid = relaxation_grid(cap, cfg.relax_grid);
+    if fell_back {
+        // with no exact neighbour the cap says nothing about the answer, so
+        // the linear grid alone starts far too coarse (cap / points); the
+        // halvings cap·2⁻¹ … cap·2⁻²⁰ find a radius within 2× of any
+        // relaxation distance in that range
+        grid.extend((1..=20).map(|k| cap / f64::from(1u32 << k)));
+    }
     for r in grid {
         let relaxed = relax_ra(&inner, r);
         let answers = eval_set(&relaxed, db)?;
@@ -625,6 +634,33 @@ mod tests {
         let report = rc_accuracy(&partial, &q, &db, &AccuracyConfig::default()).unwrap();
         assert_eq!(report.relevance, 1.0);
         assert_eq!(report.coverage, 0.0, "uncovered city has infinite distance");
+    }
+
+    #[test]
+    fn answers_near_an_empty_exact_answer_are_scored_by_their_distance() {
+        // Q(D) = ∅, but the returned row is 0.5 from qualifying: relaxing the
+        // price bound by 0.5 admits it, so δ_rel ≤ 2·0.5 on the grid
+        let schema = DatabaseSchema::new(vec![RelationSchema::new(
+            "poi",
+            vec![Attribute::categorical("type"), Attribute::double("price")],
+        )]);
+        let mut db = Database::new(schema);
+        db.insert_row("poi", vec![Value::from("hotel"), Value::Double(100.5)])
+            .unwrap();
+        let mut b = SpcQueryBuilder::new(&db.schema);
+        let h = b.atom("poi", "h").unwrap();
+        b.bind_const(h, "type", "hotel").unwrap();
+        b.filter_const(h, "price", CompareOp::Le, 100i64).unwrap();
+        b.output(h, "price", "price").unwrap();
+        let q: BeasQuery = b.build().unwrap().into();
+        assert!(exact_answers(&q, &db).unwrap().is_empty());
+        let approx = Relation::new(vec!["price".into()], vec![vec![Value::Double(100.5)]]).unwrap();
+        let report = rc_accuracy(&approx, &q, &db, &AccuracyConfig::default()).unwrap();
+        assert!(
+            report.accuracy >= 1.0 / (1.0 + 2.0 * 0.5),
+            "a row 0.5 from the query scored {}",
+            report.accuracy
+        );
     }
 
     #[test]

@@ -49,7 +49,7 @@ use beas_access::{
     ResourceSpec,
 };
 use beas_relal::{Database, DatabaseSchema, Relation, Row};
-use beas_slo::{AccuracyTarget, CurveStore, SloCounters, SloPrior};
+use beas_slo::AccuracyTarget;
 use beas_store::{Calibration, Store, StoreOptions};
 
 use crate::accuracy::{exact_answers, rc_accuracy, AccuracyConfig, RcReport};
@@ -58,7 +58,6 @@ use crate::executor::{
     calibrated_min_shard_rows, execute_plan_with_options, execute_plan_with_state, ExecOptions,
     ExecState, ExecutionOutcome,
 };
-use crate::fingerprint::QueryFingerprint;
 use crate::planner::{BoundedPlan, Planner};
 use crate::prepared::PreparedQuery;
 use crate::query::BeasQuery;
@@ -139,7 +138,7 @@ impl BeasAnswer {
 }
 
 /// The result of [`Beas::answer_with_target`]: the answer itself plus the
-/// SLO accounting a serving layer reconciles admission against.
+/// accounting a serving layer reconciles admission against.
 #[derive(Debug, Clone)]
 pub struct TargetedAnswer {
     /// The answer actually served (its `eta` is the achieved bound).
@@ -148,7 +147,7 @@ pub struct TargetedAnswer {
     pub target: AccuracyTarget,
     /// The spec of the final (served) attempt, in absolute tuples.
     pub spec: ResourceSpec,
-    /// The budget of the *first* attempt — what admission charged
+    /// The searched budget of the first attempt — what admission charged
     /// ([`Beas::predict_target_cost`] returns the same number beforehand).
     pub predicted_budget: usize,
     /// Fresh tuples fetched across all attempts (escalations re-use earlier
@@ -157,10 +156,9 @@ pub struct TargetedAnswer {
     /// `true` when the achieved η meets the target. `false` means the target
     /// was honestly infeasible within `target.max_budget`.
     pub feasible: bool,
-    /// `true` when the first budget came from a learned curve (as opposed to
-    /// the cold-start prior).
-    pub curve_backed: bool,
-    /// Budget-doubling escalations taken after the first attempt.
+    /// Budget-doubling escalations taken after the first attempt: only a set
+    /// difference, whose executed η can fall below its planned η, ever
+    /// needs one.
     pub escalations: usize,
 }
 
@@ -384,16 +382,10 @@ impl BeasBuilder {
             min_shard_rows,
             plan_cache: crate::prepared::SharedPlanCache::new(self.plan_cache_capacity),
             stats: StatsCounters::default(),
-            slo: Arc::new(CurveStore::new()),
             store,
         })
     }
 }
-
-/// How often the curve store autosaves to an attached durable store, in
-/// observations — frequent enough that a crash loses little learning, rare
-/// enough that answering stays hot-path cheap.
-const SLO_AUTOSAVE_EVERY: u64 = 64;
 
 /// The calibration record describing *this* build on *this* machine — the
 /// staleness key a persisted record is compared against at [`Beas::open`].
@@ -471,18 +463,6 @@ pub struct EngineStats {
     pub replayed_batches: u64,
     /// Storage: paged index levels loaded on first fetch.
     pub page_ins: u64,
-    /// SLO: distinct query fingerprints with learned η-vs-budget curves.
-    pub slo_fingerprints: u64,
-    /// SLO: `(budget, η)` observations absorbed by the curve store.
-    pub slo_observations: u64,
-    /// SLO: targeted answers whose curve-backed first attempt met the target.
-    pub slo_prediction_hits: u64,
-    /// SLO: targeted answers served cold or escalated past the prediction.
-    pub slo_prediction_misses: u64,
-    /// SLO: settled targeted answers (predicted cost reconciled).
-    pub slo_settlements: u64,
-    /// SLO: sum over settlements of `|predicted − actual|` spend, in tuples.
-    pub slo_spend_error_sum: u64,
 }
 
 /// One consistent `(database, catalog)` pair published by the engine.
@@ -535,11 +515,6 @@ pub struct Beas {
     /// Request statistics (see [`Beas::stats`]); plain atomics so the hot
     /// paths bump them without any lock.
     pub(crate) stats: StatsCounters,
-    /// The accuracy-SLO curve store: online η-vs-budget observations from
-    /// every answer and refinement step, consulted by
-    /// [`Beas::answer_with_target`] and adaptive refinement schedules.
-    /// Per handle, like `stats` — a clone learns its own curves.
-    pub(crate) slo: Arc<CurveStore>,
     /// The attached durable store, when the engine was built with
     /// [`BeasBuilder::persist_to`] or reopened with [`Beas::open`]. Updates
     /// are write-ahead logged here before they are published.
@@ -560,7 +535,6 @@ impl Clone for Beas {
             min_shard_rows: self.min_shard_rows,
             plan_cache: crate::prepared::SharedPlanCache::new(self.plan_cache.capacity()),
             stats: StatsCounters::default(),
-            slo: Arc::new(CurveStore::new()),
             store: None,
         }
     }
@@ -605,13 +579,6 @@ impl Beas {
             }
         };
 
-        // warm restart of learned SLO curves: a corrupt or absent payload
-        // means "start cold," never an error — curves are a cache
-        let slo = store
-            .load_slo_state()?
-            .and_then(|bytes| CurveStore::from_bytes(&bytes))
-            .unwrap_or_default();
-
         let schema = db.schema.clone();
         let engine = Beas {
             state: RwLock::new(EngineSnapshot {
@@ -624,7 +591,6 @@ impl Beas {
             min_shard_rows,
             plan_cache: crate::prepared::SharedPlanCache::new(crate::prepared::PLAN_CACHE_CAPACITY),
             stats: StatsCounters::default(),
-            slo: Arc::new(slo),
             store: Some(Arc::new(store)),
         };
 
@@ -715,7 +681,6 @@ impl Beas {
     /// on both the read and the write side.
     pub fn stats(&self) -> EngineStats {
         let storage = self.store.as_deref().map(Store::stats).unwrap_or_default();
-        let slo = self.slo.snapshot();
         EngineStats {
             queries: self.stats.queries.load(Ordering::Relaxed),
             tuples_accessed: self.stats.tuples_accessed.load(Ordering::Relaxed),
@@ -728,12 +693,6 @@ impl Beas {
             wal_bytes: storage.wal_bytes,
             replayed_batches: storage.replayed_batches,
             page_ins: storage.page_ins,
-            slo_fingerprints: slo.fingerprints as u64,
-            slo_observations: slo.observations,
-            slo_prediction_hits: slo.prediction_hits,
-            slo_prediction_misses: slo.prediction_misses,
-            slo_settlements: slo.settlements,
-            slo_spend_error_sum: slo.spend_error_sum,
         }
     }
 
@@ -773,58 +732,33 @@ impl Beas {
         let plan = Planner::new(&snapshot.catalog).plan_with_budget(query, budget)?;
         let outcome = self.execute_on(&plan, &snapshot)?;
         self.stats.record_answer(outcome.accessed);
-        let answer = answer_from(&plan, outcome);
-        self.record_slo_observation(
-            QueryFingerprint::of(query).as_u128(),
-            snapshot.catalog.version,
-            budget,
-            answer.eta,
-            answer.accessed,
-        );
-        Ok(answer)
+        Ok(answer_from(&plan, outcome))
     }
 
-    /// Answers `query` at an accuracy SLO: resolves the *minimal* budget the
-    /// learned η-vs-budget curve predicts to reach `target.eta` (a cold
-    /// engine falls back to the catalog-prior budget — in practice full
-    /// evaluation — and never over-promises), executes there, and escalates
-    /// by budget doubling (re-using fetched fragments, like a refinement
-    /// session) whenever the achieved η still falls short. The loop stops at
-    /// `target.max_budget`; an answer that misses the target there is
-    /// returned with [`TargetedAnswer::feasible`] `== false` rather than
-    /// pretending. Every attempt feeds the curve store, so serving a target
-    /// *is* the warm-up.
+    /// Answers `query` at an accuracy target: searches the smallest budget
+    /// whose *planned* η reaches `target.eta` ([`Planner::plan_for_target`],
+    /// no data touched), then executes that plan once. η is a deterministic
+    /// function of the query, the catalog and the budget, so a first request
+    /// spends exactly what a repeated one does. Only a set difference can
+    /// execute below its planned η (the `d'` correction); its budget then
+    /// doubles, re-using the fragments already fetched, until the target is
+    /// met. Nothing is spent past `target.max_budget`: an answer that misses
+    /// the target there comes back with [`TargetedAnswer::feasible`]
+    /// `== false`.
     pub fn answer_with_target(
         &self,
         query: &BeasQuery,
         target: &AccuracyTarget,
     ) -> Result<TargetedAnswer> {
-        target.validate().map_err(crate::BeasError::Access)?;
         let snapshot = self.snapshot();
         let catalog = &snapshot.catalog;
-        let max_budget = catalog.budget(&target.max_budget)?;
-        if max_budget == 0 {
-            return Err(crate::BeasError::Access(
-                beas_access::AccessError::InvalidSpec(format!(
-                    "accuracy target budget cap `{}` resolves to a zero budget",
-                    target.max_budget
-                )),
-            ));
-        }
-        let fp = QueryFingerprint::of(query).as_u128();
-        let version = catalog.version;
-        let predicted = self.slo.plan_budget(fp, version, target.eta, max_budget);
-        let curve_backed = predicted.is_some();
-        let first_budget = predicted
-            .unwrap_or_else(|| SloPrior::from_catalog(catalog).exact_budget)
-            .clamp(1, max_budget);
-
+        let max_budget = target_cap(catalog, target)?;
+        let planner = Planner::new(catalog);
+        let (mut plan, _) = planner.plan_for_target(query, target.eta, max_budget)?;
+        let predicted_budget = plan.budget;
         let mut state = ExecState::new();
-        let mut budget = first_budget;
         let mut escalations = 0usize;
-        let mut billed = 0usize;
         let answer = loop {
-            let plan = Planner::new(catalog).plan_with_budget(query, budget)?;
             let outcome = execute_plan_with_state(
                 &plan,
                 catalog,
@@ -833,98 +767,37 @@ impl Beas {
                     .with_min_shard_rows(self.min_shard_rows),
                 &mut state,
             )?;
-            // bill only the freshly fetched delta, like a refinement session
-            let fetched = state.fetched_tuples();
-            self.stats.record_answer(fetched - billed);
-            billed = fetched;
             let answer = answer_from(&plan, outcome);
-            self.record_slo_observation(fp, version, budget, answer.eta, answer.accessed);
-            if answer.eta >= target.eta || budget >= max_budget {
+            if answer.eta >= target.eta || plan.budget >= max_budget {
                 break answer;
             }
             escalations += 1;
-            budget = budget.saturating_mul(2).min(max_budget);
+            let budget = plan.budget.saturating_mul(2).min(max_budget);
+            plan = planner.plan_with_budget(query, budget)?;
         };
-
-        let feasible = answer.eta >= target.eta;
-        let spent = billed;
-        // a "hit" is a curve-backed first attempt that met the target with no
-        // escalation; cold answers and escalated answers count as misses
-        self.slo.record_settlement(
-            curve_backed && feasible && escalations == 0,
-            first_budget,
-            spent,
-        );
+        // bill only what was fetched: escalations re-use fragments
+        let spent = state.fetched_tuples();
+        self.stats.record_answer(spent);
         Ok(TargetedAnswer {
             spec: ResourceSpec::Tuples(answer.budget),
+            feasible: answer.eta >= target.eta,
             answer,
             target: *target,
-            predicted_budget: first_budget,
+            predicted_budget,
             spent,
-            feasible,
-            curve_backed,
             escalations,
         })
     }
 
     /// The tuple cost a serving layer should charge *before* executing
-    /// [`Beas::answer_with_target`]: the curve-predicted minimal budget for
-    /// the target, or the cold-start prior budget (capped at the target's
-    /// budget ceiling). Reconcile against [`TargetedAnswer::spent`] after
-    /// execution.
+    /// [`Beas::answer_with_target`]: the budget its search settles on
+    /// (capped at the target's budget ceiling). Reconcile against
+    /// [`TargetedAnswer::spent`] after execution.
     pub fn predict_target_cost(&self, query: &BeasQuery, target: &AccuracyTarget) -> Result<usize> {
-        target.validate().map_err(crate::BeasError::Access)?;
-        query.validate(&self.schema)?;
-        let snapshot = self.snapshot();
-        let catalog = &snapshot.catalog;
-        let max_budget = catalog.budget(&target.max_budget)?.max(1);
-        let fp = QueryFingerprint::of(query).as_u128();
-        Ok(self
-            .slo
-            .plan_budget(fp, catalog.version, target.eta, max_budget)
-            .unwrap_or_else(|| SloPrior::from_catalog(catalog).exact_budget)
-            .clamp(1, max_budget))
-    }
-
-    /// The accuracy-SLO accounting snapshot (also folded into
-    /// [`Beas::stats`] as the `slo_*` fields).
-    pub fn slo_counters(&self) -> SloCounters {
-        self.slo.snapshot()
-    }
-
-    /// The engine's curve store (shared with sessions and serving layers).
-    pub(crate) fn slo_store(&self) -> &Arc<CurveStore> {
-        &self.slo
-    }
-
-    /// Feeds one `(fingerprint, budget, η, spent)` observation to the curve
-    /// store and autosaves the learned state to the attached durable store
-    /// every [`SLO_AUTOSAVE_EVERY`] observations (best-effort: curves are a
-    /// cache, so an autosave failure never fails the answer that triggered
-    /// it).
-    pub(crate) fn record_slo_observation(
-        &self,
-        fingerprint: u128,
-        version: u64,
-        budget: usize,
-        eta: f64,
-        spent: usize,
-    ) {
-        let total = self.slo.observe(fingerprint, version, budget, eta, spent);
-        if total > 0 && total.is_multiple_of(SLO_AUTOSAVE_EVERY) {
-            let _ = self.flush_slo();
-        }
-    }
-
-    /// Persists the learned η-vs-budget curves to the attached durable store
-    /// (no-op without one), so a warm restart ([`Beas::open`]) keeps the
-    /// models. Called automatically every `SLO_AUTOSAVE_EVERY` (64)
-    /// observations; call it explicitly before a planned shutdown.
-    pub fn flush_slo(&self) -> Result<()> {
-        if let Some(store) = &self.store {
-            store.save_slo_state(&self.slo.to_bytes())?;
-        }
-        Ok(())
+        let catalog = self.catalog();
+        let max_budget = target_cap(&catalog, target)?;
+        let (plan, _) = Planner::new(&catalog).plan_for_target(query, target.eta, max_budget)?;
+        Ok(plan.budget)
     }
 
     /// Caches validation and per-budget plans for a query that will be asked
@@ -1100,6 +973,22 @@ impl ServeHandle {
     pub fn stats(&self) -> EngineStats {
         self.engine.stats()
     }
+}
+
+/// Validates `target` and resolves its budget cap against `catalog`; a cap
+/// resolving to zero tuples is an error, since no plan can reach η there.
+pub(crate) fn target_cap(catalog: &Catalog, target: &AccuracyTarget) -> Result<usize> {
+    target.validate()?;
+    let max_budget = catalog.budget(&target.max_budget)?;
+    if max_budget == 0 {
+        return Err(crate::BeasError::Access(
+            beas_access::AccessError::InvalidSpec(format!(
+                "accuracy target budget cap `{}` resolves to a zero budget",
+                target.max_budget
+            )),
+        ));
+    }
+    Ok(max_budget)
 }
 
 /// The answer for a zero-budget spec: no access, no answers, no bound.
@@ -1302,6 +1191,49 @@ mod tests {
             assert!(answer.eta >= last - 1e-12);
             last = answer.eta;
         }
+    }
+
+    #[test]
+    fn targeted_answers_execute_the_searched_plan() {
+        let beas = engine(400);
+        let db = beas.database();
+        let cheap = match hotels_in(&db, "NYC", 90) {
+            BeasQuery::Ra(q) => q,
+            _ => unreachable!(),
+        };
+        let all = match hotels_in(&db, "NYC", 1000) {
+            BeasQuery::Ra(q) => q,
+            _ => unreachable!(),
+        };
+        let difference = BeasQuery::Ra(all.difference(cheap));
+        for q in [q1(&db), difference] {
+            for eta in [0.3, 0.6, 1.0] {
+                let target = AccuracyTarget::new(eta).unwrap();
+                let served = beas.answer_with_target(&q, &target).unwrap();
+                assert_eq!(
+                    beas.predict_target_cost(&q, &target).unwrap(),
+                    served.predicted_budget
+                );
+                assert_eq!(served.feasible, served.answer.eta >= eta);
+                if served.escalations == 0 {
+                    // one execution of the plan the search settled on
+                    let direct = beas
+                        .answer(&q, ResourceSpec::Tuples(served.predicted_budget))
+                        .unwrap();
+                    assert_eq!(served.answer.answers.digest(), direct.answers.digest());
+                    assert_eq!(served.answer.eta.to_bits(), direct.eta.to_bits());
+                    assert_eq!(served.answer.accessed, direct.accessed);
+                    // fragments shared between leaves are fetched once
+                    assert!(served.spent <= direct.accessed);
+                }
+            }
+        }
+        // a cap that resolves to zero tuples cannot reach any η
+        let zero = AccuracyTarget::new(0.5)
+            .unwrap()
+            .with_max_budget(ResourceSpec::Tuples(0))
+            .unwrap();
+        assert!(beas.answer_with_target(&q2(&db), &zero).is_err());
     }
 
     #[test]
@@ -1810,6 +1742,8 @@ mod tests {
         let want = answer_digests(&built);
         assert!(built.stats().wal_bytes > 0);
         drop(built);
+        // older stores also hold learned curves in `slo.seg`; it is ignored
+        std::fs::write(dir.join("slo.seg"), b"BEASSEG\x01").unwrap();
 
         let reopened = Beas::open_with(&dir, opts).unwrap();
         let stats = reopened.stats();

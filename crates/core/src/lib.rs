@@ -88,7 +88,7 @@ pub use accuracy::{
     FMeasure, RcReport,
 };
 pub use beas_access::{BudgetPolicy, ResourceSpec};
-pub use beas_slo::{AccuracyTarget, CurveStore, SloCounters, SloPrior};
+pub use beas_slo::{AccuracyTarget, CurveStore};
 pub use beas_store::{Calibration, Store, StoreOptions, StoreStatsSnapshot};
 pub use engine::{
     Beas, BeasAnswer, BeasBuilder, ConstraintSpec, EngineSnapshot, EngineStats, ServeHandle,

@@ -157,6 +157,48 @@ impl<'a> Planner<'a> {
         self.plan_prevalidated(query, budget)
     }
 
+    /// The cheapest plan whose planned η reaches `eta`, searched over tuple
+    /// budgets up to `max_budget` without touching the database: gallop over
+    /// budgets 1, 2, 4, … (then the cap itself) to the first hit, then bisect
+    /// between the last miss and that hit — at most about `2·log₂(max_budget)`
+    /// plans. Returns `(plan, true)` where `plan.budget` is a budget `B` with
+    /// `η(B) ≥ eta` and `η(B − 1) < eta` (minimal whenever η is monotone in
+    /// the budget, Theorem 5(3)), or `(plan at max_budget, false)` when even
+    /// the cap misses.
+    pub fn plan_for_target(
+        &self,
+        query: &BeasQuery,
+        eta: f64,
+        max_budget: usize,
+    ) -> Result<(BoundedPlan, bool)> {
+        query.validate(&self.catalog.schema)?;
+        let max_budget = max_budget.max(1);
+        // the largest budget known to miss (0 before any probe)
+        let mut miss = 0usize;
+        let mut budget = 1usize;
+        let mut hit = loop {
+            let plan = self.plan_prevalidated(query, budget)?;
+            if plan.eta >= eta {
+                break plan;
+            }
+            if budget == max_budget {
+                return Ok((plan, false));
+            }
+            miss = budget;
+            budget = budget.saturating_mul(2).min(max_budget);
+        };
+        while hit.budget - miss > 1 {
+            let mid = miss + (hit.budget - miss) / 2;
+            let plan = self.plan_prevalidated(query, mid)?;
+            if plan.eta >= eta {
+                hit = plan;
+            } else {
+                miss = mid;
+            }
+        }
+        Ok((hit, true))
+    }
+
     /// Planning entry for callers that already validated the query (the
     /// prepared-query fast path skips re-validation on every budget).
     pub(crate) fn plan_prevalidated(
@@ -720,6 +762,23 @@ mod tests {
             );
             last = plan.eta;
         }
+    }
+
+    #[test]
+    fn plan_for_target_finds_the_smallest_budget_reaching_eta() {
+        let db = example_db(400);
+        let catalog = full_catalog(&db);
+        let planner = Planner::new(&catalog);
+        let q = q1(&db);
+        let cap = catalog.db_size;
+        let (plan, feasible) = planner.plan_for_target(&q, 0.5, cap).unwrap();
+        assert!(feasible && plan.eta >= 0.5);
+        let below = planner.plan_with_budget(&q, plan.budget - 1).unwrap();
+        assert!(below.eta < 0.5, "budget {} is not minimal", plan.budget);
+        // a cap below that budget makes the same target infeasible
+        let (capped, feasible) = planner.plan_for_target(&q, 0.5, plan.budget - 1).unwrap();
+        assert!(!feasible);
+        assert_eq!(capped.budget, plan.budget - 1);
     }
 
     #[test]

@@ -335,17 +335,7 @@ impl<'e> PreparedQuery<'e> {
         let plan = self.plan_for_budget(&snapshot, budget)?;
         let outcome = engine.execute_on(&plan, &snapshot)?;
         engine.stats.record_answer(outcome.accessed);
-        let answer = answer_from(&plan, outcome);
-        // feed the η-vs-budget curve store: every served answer is an
-        // observation the SLO planner can learn from
-        engine.record_slo_observation(
-            self.fingerprint.as_u128(),
-            snapshot.catalog().version,
-            budget,
-            answer.eta,
-            answer.accessed,
-        );
-        Ok(answer)
+        Ok(answer_from(&plan, outcome))
     }
 }
 

@@ -29,28 +29,26 @@
 //! Plans for the steps come from the engine's [shared plan
 //! cache](crate::prepared), so a server refining the same query for many
 //! clients plans each budget once.
+//!
+//! An accuracy goal ([`RefinementSchedule::to_accuracy`]) is resolved the
+//! same way wherever a session opens — on one engine or on a cluster
+//! coordinator — by [`RefinementSchedule::resolve`]: the final step is the
+//! smallest budget whose planned η reaches the goal
+//! ([`Planner::plan_for_target`]), and the default-ladder rungs below it
+//! stay only where they raise the planned η.
 
-use beas_access::ResourceSpec;
+use beas_access::{Catalog, ResourceSpec};
 use beas_slo::AccuracyTarget;
 
 use crate::engine::{answer_from, BeasAnswer, EngineSnapshot};
 use crate::error::{BeasError, Result};
 use crate::executor::{execute_plan_with_state, ExecOptions, ExecState};
+use crate::planner::Planner;
 use crate::prepared::PreparedQuery;
+use crate::query::BeasQuery;
 
 /// The default `Ratio` ladder of [`RefinementSchedule::default_ladder`].
 pub const DEFAULT_RATIO_LADDER: [f64; 5] = [0.01, 0.05, 0.1, 0.5, 1.0];
-
-/// Minimum predicted Δη for a ladder rung to be worth running in an
-/// accuracy-adaptive session ([`RefinementSchedule::to_accuracy`]): rungs
-/// predicted to improve η by less are skipped.
-pub const MIN_PREDICTED_GAIN: f64 = 0.02;
-
-/// When the predicted target budget leaves less than this fraction of the
-/// full budget unfetched, an accuracy-adaptive session jumps straight to the
-/// exact (full-budget) step — the remaining fragment is small enough that
-/// finishing beats a near-full intermediate answer.
-pub const JUMP_TO_EXACT_REMAINDER: f64 = 0.25;
 
 /// A validated sequence of resource specs with non-decreasing budgets — the
 /// refinement trajectory of an [`AnswerSession`].
@@ -58,8 +56,8 @@ pub const JUMP_TO_EXACT_REMAINDER: f64 = 0.25;
 pub struct RefinementSchedule {
     specs: Vec<ResourceSpec>,
     /// An adaptive accuracy goal ([`RefinementSchedule::to_accuracy`]): when
-    /// set, opening a session re-derives the rungs from the engine's learned
-    /// η-vs-budget curves instead of running `specs` verbatim.
+    /// set, [`RefinementSchedule::resolve`] derives the rungs from planned η
+    /// instead of running `specs` verbatim.
     target_eta: Option<f64>,
 }
 
@@ -145,16 +143,12 @@ impl RefinementSchedule {
         Self::from_specs(specs)
     }
 
-    /// An accuracy-adaptive schedule: refine until the answer's η reaches
-    /// `eta` (validated to `(0, 1]`). The rungs are not fixed here — they are
-    /// derived when the session opens, from the engine's learned η-vs-budget
-    /// curve for the query: default-ladder rungs predicted to gain less than
-    /// [`MIN_PREDICTED_GAIN`] η are skipped, the ladder stops at the minimal
-    /// budget predicted to reach `eta`, and when the remaining fragment past
-    /// that budget is small (under [`JUMP_TO_EXACT_REMAINDER`] of full) the
-    /// session jumps straight to the exact step. On a cold engine every rung
-    /// is unpredicted, so the session collapses to the single full-budget
-    /// step — it never wastes rungs it cannot justify.
+    /// An accuracy-adaptive schedule: refine until the answer's planned η
+    /// reaches `eta` (validated to `(0, 1]`). The rungs are derived when the
+    /// session opens ([`RefinementSchedule::resolve`]): the last is the
+    /// smallest budget whose planned η reaches `eta` (the full budget when
+    /// none does), and a default-ladder rung below it is kept only when its
+    /// planned η beats the previous kept rung's.
     pub fn to_accuracy(eta: f64) -> Result<Self> {
         AccuracyTarget::new(eta).map_err(BeasError::from)?;
         let mut schedule = Self::default_ladder();
@@ -169,10 +163,52 @@ impl RefinementSchedule {
     }
 
     /// The schedule's steps, in order. For an accuracy-adaptive schedule
-    /// these are the fallback (default ladder) rungs; the real trajectory is
-    /// derived against the engine's curves when a session opens.
+    /// these are the default ladder; the real trajectory is derived by
+    /// [`RefinementSchedule::resolve`] when a session opens.
     pub fn specs(&self) -> &[ResourceSpec] {
         &self.specs
+    }
+
+    /// The `(spec, budget)` trajectory of this schedule for `query` against
+    /// `catalog`, strictly increasing in budget — what a session runs, on
+    /// one engine or on a cluster coordinator alike. Fixed schedules resolve
+    /// their specs (equal budgets collapse into one step under the later
+    /// spec; zero or decreasing budgets are errors). Accuracy goals resolve
+    /// as described at [`RefinementSchedule::to_accuracy`], from plans
+    /// alone.
+    pub fn resolve(
+        &self,
+        catalog: &Catalog,
+        query: &BeasQuery,
+    ) -> Result<Vec<(ResourceSpec, usize)>> {
+        if let Some(eta) = self.target_eta {
+            return accuracy_trajectory(catalog, query, eta);
+        }
+        let mut steps: Vec<(ResourceSpec, usize)> = Vec::with_capacity(self.specs.len());
+        for &spec in &self.specs {
+            let budget = catalog.budget(&spec)?;
+            if budget == 0 {
+                return Err(BeasError::Planning(format!(
+                    "refinement schedule step {spec} resolves to a zero budget; \
+                     no plan can access zero tuples"
+                )));
+            }
+            match steps.last_mut() {
+                Some((last_spec, last_budget)) if *last_budget == budget => {
+                    // same resolved budget: keep one step, under the later
+                    // spec label, so the final step carries the final spec
+                    *last_spec = spec;
+                }
+                Some((_, last_budget)) if budget < *last_budget => {
+                    return Err(BeasError::Planning(format!(
+                        "refinement schedule budgets must not decrease: \
+                         {spec} resolves to {budget} after {last_budget}"
+                    )));
+                }
+                _ => steps.push((spec, budget)),
+            }
+        }
+        Ok(steps)
     }
 
     /// Number of steps.
@@ -244,40 +280,7 @@ impl<'p, 'e> AnswerSession<'p, 'e> {
         schedule: RefinementSchedule,
     ) -> Result<Self> {
         let snapshot = prepared.engine().snapshot();
-        if let Some(eta) = schedule.accuracy_goal() {
-            let steps = Self::adaptive_trajectory(prepared, &snapshot, eta)?;
-            return Ok(AnswerSession {
-                prepared,
-                snapshot,
-                steps,
-                state: ExecState::new(),
-                next: 0,
-            });
-        }
-        let mut steps: Vec<(ResourceSpec, usize)> = Vec::with_capacity(schedule.len());
-        for &spec in schedule.specs() {
-            let budget = snapshot.catalog().budget(&spec)?;
-            if budget == 0 {
-                return Err(BeasError::Planning(format!(
-                    "refinement schedule step {spec} resolves to a zero budget; \
-                     no plan can access zero tuples"
-                )));
-            }
-            match steps.last_mut() {
-                Some((last_spec, last_budget)) if *last_budget == budget => {
-                    // same resolved budget: keep one step, under the later
-                    // spec label, so the final step carries the final spec
-                    *last_spec = spec;
-                }
-                Some((_, last_budget)) if budget < *last_budget => {
-                    return Err(BeasError::Planning(format!(
-                        "refinement schedule budgets must not decrease: \
-                         {spec} resolves to {budget} after {last_budget}"
-                    )));
-                }
-                _ => steps.push((spec, budget)),
-            }
-        }
+        let steps = schedule.resolve(snapshot.catalog(), prepared.query())?;
         Ok(AnswerSession {
             prepared,
             snapshot,
@@ -285,70 +288,6 @@ impl<'p, 'e> AnswerSession<'p, 'e> {
             state: ExecState::new(),
             next: 0,
         })
-    }
-
-    /// Derives the trajectory of an accuracy-adaptive schedule from the
-    /// engine's learned η-vs-budget curve for this query (see
-    /// [`RefinementSchedule::to_accuracy`]): the final step is the minimal
-    /// budget predicted to reach `eta` (the full budget when the curve has
-    /// no evidence), intermediate default-ladder rungs are
-    /// kept only when the curve predicts they gain at least
-    /// [`MIN_PREDICTED_GAIN`] η over the previous kept rung, and when less
-    /// than [`JUMP_TO_EXACT_REMAINDER`] of the full budget would remain
-    /// unfetched past the target, the session jumps straight to the exact
-    /// (full-budget) step.
-    fn adaptive_trajectory(
-        prepared: &PreparedQuery<'_>,
-        snapshot: &EngineSnapshot,
-        eta: f64,
-    ) -> Result<Vec<(ResourceSpec, usize)>> {
-        let catalog = snapshot.catalog();
-        let full_budget = catalog.budget(&ResourceSpec::FULL)?.max(1);
-        let slo = prepared.engine().slo_store();
-        let fp = prepared.fingerprint().as_u128();
-        let version = catalog.version;
-        // unlike `Beas::answer_with_target` (which escalates until the target
-        // is met), a session runs its trajectory exactly once — so a cold
-        // curve must fall back to the full budget, never the cheaper prior
-        let target_budget = slo
-            .plan_budget(fp, version, eta, full_budget)
-            .unwrap_or(full_budget)
-            .clamp(1, full_budget);
-        let remainder = full_budget - target_budget;
-        let final_budget = if remainder as f64 <= JUMP_TO_EXACT_REMAINDER * full_budget as f64 {
-            full_budget
-        } else {
-            target_budget
-        };
-        let mut steps: Vec<(ResourceSpec, usize)> = Vec::new();
-        let mut last_predicted = 0.0f64;
-        for &ratio in DEFAULT_RATIO_LADDER.iter() {
-            let budget = catalog.budget(&ResourceSpec::Ratio(ratio))?;
-            if budget == 0 || budget >= final_budget {
-                continue;
-            }
-            if let Some((_, last_budget)) = steps.last() {
-                if budget <= *last_budget {
-                    continue;
-                }
-            }
-            // a rung earns its keep only when the curve predicts a real η
-            // gain over the previous kept rung; unpredicted (cold) rungs
-            // are dropped — the session never wastes work it can't justify
-            if let Some(predicted) = slo.predict_eta(fp, version, budget) {
-                if predicted - last_predicted >= MIN_PREDICTED_GAIN {
-                    last_predicted = predicted;
-                    steps.push((ResourceSpec::Tuples(budget), budget));
-                }
-            }
-        }
-        let final_spec = if final_budget == full_budget {
-            ResourceSpec::FULL
-        } else {
-            ResourceSpec::Tuples(final_budget)
-        };
-        steps.push((final_spec, final_budget));
-        Ok(steps)
     }
 
     /// The snapshot the session is pinned to.
@@ -409,15 +348,6 @@ impl<'p, 'e> AnswerSession<'p, 'e> {
             .stats
             .record_answer(self.state.fetched_tuples() - fetched_before);
         let answer = answer_from(&plan, outcome);
-        // every step feeds the η-vs-budget curve store, so refinement
-        // sessions teach the SLO planner as a side effect of serving
-        engine.record_slo_observation(
-            self.prepared.fingerprint().as_u128(),
-            self.snapshot.catalog().version,
-            answer.budget,
-            answer.eta,
-            answer.accessed,
-        );
         Ok(RefinementStep {
             spec,
             eta: answer.eta,
@@ -429,6 +359,42 @@ impl<'p, 'e> AnswerSession<'p, 'e> {
             answer,
         })
     }
+}
+
+/// The trajectory of [`RefinementSchedule::to_accuracy`]`(eta)`: the
+/// default-ladder rungs below the searched budget whose planned η beats the
+/// previous kept rung's, then the searched budget itself.
+fn accuracy_trajectory(
+    catalog: &Catalog,
+    query: &BeasQuery,
+    eta: f64,
+) -> Result<Vec<(ResourceSpec, usize)>> {
+    let planner = Planner::new(catalog);
+    let full_budget = catalog.budget(&ResourceSpec::FULL)?.max(1);
+    let (target, _) = planner.plan_for_target(query, eta, full_budget)?;
+    let mut steps: Vec<(ResourceSpec, usize)> = Vec::new();
+    let mut last_eta = 0.0f64;
+    for &ratio in &DEFAULT_RATIO_LADDER {
+        let budget = catalog.budget(&ResourceSpec::Ratio(ratio))?;
+        if budget == 0
+            || budget >= target.budget
+            || steps.last().is_some_and(|&(_, last)| budget <= last)
+        {
+            continue;
+        }
+        let rung_eta = planner.plan_with_budget(query, budget)?.eta;
+        if rung_eta > last_eta {
+            last_eta = rung_eta;
+            steps.push((ResourceSpec::Tuples(budget), budget));
+        }
+    }
+    let final_spec = if target.budget == full_budget {
+        ResourceSpec::FULL
+    } else {
+        ResourceSpec::Tuples(target.budget)
+    };
+    steps.push((final_spec, target.budget));
+    Ok(steps)
 }
 
 impl Iterator for AnswerSession<'_, '_> {
@@ -605,29 +571,57 @@ mod tests {
     }
 
     #[test]
-    fn cold_adaptive_session_collapses_to_a_single_full_step() {
-        let engine = poi_engine(400);
-        let q = hotels(&engine);
-        let prepared = engine.prepare(&q).unwrap();
-        let session = prepared
-            .session(RefinementSchedule::to_accuracy(0.95).unwrap())
-            .unwrap();
-        // no curve evidence: one honest full-budget step, no wasted rungs
-        assert_eq!(session.steps(), 1);
-        let (spec, budget) = session.trajectory()[0];
-        assert_eq!(spec, ResourceSpec::FULL);
-        assert_eq!(
-            budget,
-            engine.catalog().budget(&ResourceSpec::FULL).unwrap()
-        );
-    }
-
-    #[test]
-    fn warm_adaptive_session_stops_at_the_learned_budget() {
+    fn adaptive_session_ends_at_the_searched_budget() {
         let engine = poi_engine(2000);
         let q = hotels(&engine);
         let prepared = engine.prepare(&q).unwrap();
-        // warm the curve with the full default ladder a few times
+        let catalog = engine.catalog();
+        let full_budget = catalog.budget(&ResourceSpec::FULL).unwrap();
+        for goal in [0.3, 0.5, 0.9, 1.0] {
+            let schedule = RefinementSchedule::to_accuracy(goal).unwrap();
+            let session = prepared.session(schedule.clone()).unwrap();
+            let trajectory = session.trajectory().to_vec();
+            assert_eq!(trajectory, schedule.resolve(&catalog, &q).unwrap());
+            let (searched, feasible) = Planner::new(&catalog)
+                .plan_for_target(&q, goal, full_budget)
+                .unwrap();
+            assert_eq!(trajectory.last().unwrap().1, searched.budget, "goal {goal}");
+
+            // budgets increase, every kept rung gains η, and the last step
+            // meets the goal exactly when the search found it feasible
+            let steps: Vec<RefinementStep> = session.map(|s| s.unwrap()).collect();
+            for pair in steps.windows(2) {
+                assert!(pair[1].budget > pair[0].budget);
+                assert!(pair[1].eta >= pair[0].eta);
+            }
+            for pair in steps[..steps.len() - 1].windows(2) {
+                assert!(pair[1].eta > pair[0].eta, "goal {goal}: a rung gained no η");
+            }
+            let last = steps.last().unwrap();
+            assert_eq!(last.eta >= goal, feasible, "goal {goal}");
+        }
+    }
+
+    #[test]
+    fn first_adaptive_session_matches_a_later_one() {
+        let engine = poi_engine(2000);
+        let q = hotels(&engine);
+        let prepared = engine.prepare(&q).unwrap();
+        let run = || {
+            let session = prepared
+                .session(RefinementSchedule::to_accuracy(0.5).unwrap())
+                .unwrap();
+            let trajectory = session.trajectory().to_vec();
+            let steps: Vec<RefinementStep> = session.map(|s| s.unwrap()).collect();
+            let last = steps.last().unwrap();
+            (trajectory, last.answer.answers.digest(), last.eta.to_bits())
+        };
+        // the first session on a fresh engine needs no warm-up: it searches
+        // the same budget and ends at the same answer as one opened after the
+        // engine has served the full default ladder several times
+        let first = run();
+        let full_budget = engine.catalog().budget(&ResourceSpec::FULL).unwrap();
+        assert!(first.0.last().unwrap().1 < full_budget);
         for _ in 0..3 {
             let session = prepared
                 .session(RefinementSchedule::default_ladder())
@@ -636,28 +630,7 @@ mod tests {
                 step.unwrap();
             }
         }
-        let full_budget = engine.catalog().budget(&ResourceSpec::FULL).unwrap();
-        let goal = 0.5;
-        let session = prepared
-            .session(RefinementSchedule::to_accuracy(goal).unwrap())
-            .unwrap();
-        let trajectory = session.trajectory().to_vec();
-        // budgets strictly increase and the last one is what the curve chose
-        for pair in trajectory.windows(2) {
-            assert!(pair[1].1 > pair[0].1);
-        }
-        let steps: Vec<RefinementStep> = session.map(|s| s.unwrap()).collect();
-        let last = steps.last().unwrap();
-        if last.budget < full_budget {
-            // the curve promised the goal under full budget — it must deliver
-            // (predictions are conservative on a static database)
-            assert!(
-                last.eta >= goal,
-                "learned budget {} promised η ≥ {goal} but achieved {}",
-                last.budget,
-                last.eta
-            );
-        }
+        assert_eq!(run(), first);
     }
 
     #[test]

@@ -251,8 +251,8 @@ impl Tenant {
     /// surcharged (actual above it). Unlike [`Tenant::refund`], a surcharge
     /// may drive the bucket **negative** — the tenant ran up real debt that
     /// the refill has to pay down before anything else is admitted — which
-    /// is what keeps a systematically under-predicted accuracy-target
-    /// workload from outrunning its allowance.
+    /// is what keeps accuracy-target requests that spend past their searched
+    /// budget (a set difference escalating) from outrunning their allowance.
     pub fn settle(&self, charged: f64, actual: f64) {
         let delta = charged.max(0.0) - actual.max(0.0);
         let mut bucket = self.bucket.lock().expect("bucket poisoned");

@@ -521,11 +521,13 @@ fn query_handler(state: &ServerState, body: &Json) -> Reply {
 }
 
 /// The accuracy-denominated half of `POST /query`: admission charges the
-/// engine's *predicted* cost of hitting the target (the learned η-vs-budget
-/// curve's budget pick, or the cold-start full-budget prior), and after
-/// execution the charge is [settled](Tenant::settle) against the tuples
-/// actually spent — refunded when the curve over-predicted, surcharged
-/// (possibly into debt) when escalation had to spend past the prediction.
+/// budget the engine's search settles on
+/// ([`Beas::predict_target_cost`](beas_core::Beas::predict_target_cost): the
+/// smallest budget whose planned η reaches the target, found from plans
+/// alone), and after execution the charge is [settled](Tenant::settle)
+/// against the tuples actually spent — refunded when execution fetched less
+/// than the budget, surcharged (possibly into debt) when a set difference
+/// had to escalate past it.
 fn targeted_query_handler(
     state: &ServerState,
     body: &Json,
@@ -867,30 +869,6 @@ fn metrics_json(state: &ServerState) -> Json {
                 ("wal_bytes", Json::Int(stats.wal_bytes as i64)),
                 ("replayed_batches", Json::Int(stats.replayed_batches as i64)),
                 ("page_ins", Json::Int(stats.page_ins as i64)),
-            ]),
-        ),
-        (
-            "slo",
-            Json::obj(vec![
-                ("fingerprints", Json::Int(stats.slo_fingerprints as i64)),
-                ("observations", Json::Int(stats.slo_observations as i64)),
-                (
-                    "prediction_hits",
-                    Json::Int(stats.slo_prediction_hits as i64),
-                ),
-                (
-                    "prediction_misses",
-                    Json::Int(stats.slo_prediction_misses as i64),
-                ),
-                ("settlements", Json::Int(stats.slo_settlements as i64)),
-                (
-                    "mean_abs_spend_error",
-                    Json::Num(if stats.slo_settlements > 0 {
-                        stats.slo_spend_error_sum as f64 / stats.slo_settlements as f64
-                    } else {
-                        0.0
-                    }),
-                ),
             ]),
         ),
         (

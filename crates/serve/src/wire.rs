@@ -506,8 +506,9 @@ pub fn target_from_json(v: &Json) -> Result<Option<AccuracyTarget>> {
 ///   spec](RefinementSchedule::leading_to), so the final frame equals a
 ///   one-shot `POST /query` at the same spec;
 /// * only `"target": "eta:0.95"` — an [accuracy-adaptive
-///   schedule](RefinementSchedule::to_accuracy) whose rungs the engine
-///   derives from its learned η-vs-budget curves;
+///   schedule](RefinementSchedule::to_accuracy) whose rungs the planner
+///   derives from planned η, ending at the smallest budget that reaches the
+///   target;
 /// * none of the three — the full
 ///   [default ladder](RefinementSchedule::default_ladder).
 pub fn schedule_from_json(v: &Json) -> Result<RefinementSchedule> {
@@ -628,11 +629,11 @@ pub fn answer_to_json(answer: &BeasAnswer) -> Json {
 }
 
 /// Encodes a [`TargetedAnswer`] for the wire: the full answer encoding of
-/// [`answer_to_json`] plus the SLO planner's accounting — the `target`, the
-/// spec it resolved to, the `predicted_budget` admission charged, the tuples
-/// actually `spent`, whether the target was `feasible` under its budget cap,
-/// whether the prediction was `curve_backed` (learned curve vs cold-start
-/// prior) and how many `escalations` the engine needed past the prediction.
+/// [`answer_to_json`] plus the target accounting — the `target`, the spec it
+/// resolved to, the searched `predicted_budget` admission charged, the
+/// tuples actually `spent`, whether the target was `feasible` under its
+/// budget cap and how many `escalations` a set difference needed past the
+/// searched budget.
 pub fn targeted_answer_to_json(t: &TargetedAnswer) -> Json {
     let mut pairs = match answer_to_json(&t.answer) {
         Json::Obj(pairs) => pairs,
@@ -647,7 +648,6 @@ pub fn targeted_answer_to_json(t: &TargetedAnswer) -> Json {
     ));
     pairs.push(("spent".to_string(), Json::Int(t.spent as i64)));
     pairs.push(("feasible".to_string(), Json::Bool(t.feasible)));
-    pairs.push(("curve_backed".to_string(), Json::Bool(t.curve_backed)));
     pairs.push(("escalations".to_string(), Json::Int(t.escalations as i64)));
     Json::Obj(pairs)
 }

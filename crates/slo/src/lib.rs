@@ -1,48 +1,22 @@
-//! # beas-slo — accuracy-SLO planning for BEAS
+//! # beas-slo — the accuracy-target vocabulary
 //!
 //! The paper's contract is "best answer within a resource bound"
 //! (`ratio:0.1`, `tuples:500`). Real tenants invert it: *"η ≥ 0.95, as
-//! cheap as possible."* This crate turns the engine's own execution history
-//! into that inverse map:
+//! cheap as possible."* This crate holds the request side of that inverse:
 //!
 //! * [`AccuracyTarget`] — the accuracy-denominated request vocabulary
 //!   (`eta:0.95`, optionally capped as `eta:0.95@ratio:0.5`), validated at
 //!   the API boundary exactly like [`ResourceSpec`].
-//! * [`CurveStore`] — an online, thread-safe store of
-//!   `(query fingerprint, resolved budget, achieved η, tuples spent)`
-//!   observations. Per fingerprint it fits a **monotone non-decreasing**
-//!   η-vs-budget model over log-budget buckets: a conservative lower
-//!   envelope (suffix-minimum of per-bucket minima) combined elementwise
-//!   with an isotonic (PAVA) fit of the bucket means. The min of the two
-//!   keeps every prediction ≤ some achieved η at an equal-or-larger
-//!   budget, so on a static database the planner never promises accuracy
-//!   the engine has not demonstrated.
-//! * [`SloPrior`] — the cold-start prior derived from [`Catalog`] level
-//!   resolutions: the only budget at which an unobserved query is promised
-//!   η = 1 is the budget covering the catalog's *exact* (resolution `0̄`)
-//!   levels — in practice the full database. A cold engine therefore falls
-//!   back to the full-budget spec instead of over-promising.
-//! * [`SloCounters`] — the metrics snapshot (fingerprints tracked,
-//!   observations, prediction hits/misses, spend-error sums) exported under
-//!   `GET /metrics` and aggregated across cluster shards.
 //!
-//! Curves are keyed by the opaque 128-bit query fingerprint and tagged with
-//! the [`Catalog::version`] they were learned against: an observation from a
-//! newer catalog version resets the curve, and predictions against a stale
-//! version report cold — updates can only make learned curves *forgotten*,
-//! never silently wrong.
+//! The engine answers a target without any learned state: η is a
+//! deterministic function of (query, catalog, budget) that the planner
+//! computes before a tuple is fetched, so `Planner::plan_for_target` in
+//! `beas-core` searches the budget directly.
 //!
-//! The store serialises to a small checksummed-by-the-caller byte payload
-//! ([`CurveStore::to_bytes`] / [`CurveStore::from_bytes`]) so `beas-store`
-//! can persist learned models across warm restarts without depending on
-//! this crate's types.
-//!
-//! Grounding: learning per-fingerprint algorithm parameters from workload
-//! observations is the data-driven-algorithm-selection setting of
-//! *Generalization Bounds for Data-Driven Numerical Linear Algebra*; using
-//! predicted η gains to skip refinement rungs mirrors the interleaved
-//! bound-and-refine loop of *Bounded Approximate Symbolic Dynamic
-//! Programming for Hybrid MDPs* (see PAPERS.md).
+//! [`CurveStore`] is the η-vs-budget curve learner that preceded that
+//! search. No engine path calls it; it stays only because the benchmark's
+//! `slo.curve.*` probes still measure it, and it goes — with this crate and
+//! the `beas-core` re-export — once those probes are retired.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,7 +24,7 @@
 pub mod curve;
 pub mod target;
 
-pub use curve::{CurveStore, SloCounters, SloPrior};
+pub use curve::CurveStore;
 pub use target::AccuracyTarget;
 
-pub use beas_access::{Catalog, ResourceSpec};
+pub use beas_access::ResourceSpec;

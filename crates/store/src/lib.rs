@@ -227,7 +227,6 @@ pub struct Store {
 const MANIFEST: &str = "MANIFEST";
 const MANIFEST_HEADER: &str = "beas-store v1";
 const CALIBRATION_FILE: &str = "calibration.seg";
-const SLO_FILE: &str = "slo.seg";
 
 fn snap_dir(dir: &Path, generation: u64) -> PathBuf {
     dir.join(format!("snap-{generation}"))
@@ -589,33 +588,6 @@ impl Store {
         })();
         Ok(cal.ok())
     }
-
-    /// Persists the accuracy-SLO curve store next to the snapshots. The
-    /// payload is opaque to this crate (`beas-slo` owns the encoding); the
-    /// segment envelope contributes the checksum.
-    pub fn save_slo_state(&self, payload: &[u8]) -> Result<()> {
-        segment::write_segment(&self.dir.join(SLO_FILE), SegmentKind::SloCurves, payload)?;
-        self.stats.segments_written.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Loads the persisted accuracy-SLO curve payload, `None` when absent. A
-    /// *corrupt* segment is also `None` — learned curves are a cache, the
-    /// caller starts cold and re-learns.
-    pub fn load_slo_state(&self) -> Result<Option<Vec<u8>>> {
-        let path = self.dir.join(SLO_FILE);
-        if !path.is_file() {
-            return Ok(None);
-        }
-        match segment::read_segment(&path, SegmentKind::SloCurves) {
-            Ok(payload) => {
-                self.stats.segments_loaded.fetch_add(1, Ordering::Relaxed);
-                Ok(Some(payload))
-            }
-            Err(StoreError::Io(e)) => Err(StoreError::Io(e)),
-            Err(_) => Ok(None),
-        }
-    }
 }
 
 fn parse_manifest(text: &str) -> Result<u64> {
@@ -918,24 +890,39 @@ mod tests {
     }
 
     #[test]
-    fn slo_state_round_trips_and_corruption_falls_back() {
-        let dir = test_dir("slo-state");
+    fn store_with_a_parent_era_slo_segment_opens_bit_for_bit() {
+        let dir = test_dir("parent-era-slo");
+        let db = sample_db();
+        let catalog = sample_catalog(&db);
         let store = Store::create(&dir, StoreOptions::default()).unwrap();
-        assert_eq!(store.load_slo_state().unwrap(), None);
-        let payload = vec![7u8, 1, 9, 0, 42, 255];
-        store.save_slo_state(&payload).unwrap();
-        assert_eq!(store.load_slo_state().unwrap(), Some(payload.clone()));
-        // saves overwrite in place
-        store.save_slo_state(&[1u8]).unwrap();
-        assert_eq!(store.load_slo_state().unwrap(), Some(vec![1u8]));
+        store.write_snapshot(&db, &catalog).unwrap();
+        drop(store);
 
-        // corrupt segment: learned curves are a cache, reads fall back to None
-        let path = dir.join(SLO_FILE);
-        let mut bytes = fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01;
-        fs::write(&path, &bytes).unwrap();
-        assert_eq!(store.load_slo_state().unwrap(), None);
+        // the learned-curve segment older stores carry: an `SLO1` payload
+        // with no curves in a kind-5 envelope
+        let mut payload = b"SLO1".to_vec();
+        payload.extend_from_slice(&[0u8; 6 * 8]);
+        let mut bytes = segment::MAGIC.to_vec();
+        bytes.extend_from_slice(&segment::VERSION.to_le_bytes());
+        bytes.extend_from_slice(&5u32.to_le_bytes());
+        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&segment::checksum(&payload).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        let slo = dir.join("slo.seg");
+        fs::write(&slo, &bytes).unwrap();
+
+        let reopened = Store::open(&dir, StoreOptions::default()).unwrap();
+        let (db2, catalog2) = reopened.load_snapshot().unwrap();
+        assert_eq!(db_fingerprint(&db2), db_fingerprint(&db));
+        assert_eq!(
+            catalog_fingerprint(&catalog2),
+            catalog_fingerprint(&catalog)
+        );
+        assert_eq!(catalog2.version, catalog.version);
+        // the file is left alone, and tag 5 names no kind of today's
+        assert_eq!(fs::read(&slo).unwrap(), bytes);
+        let err = segment::read_segment(&slo, SegmentKind::Calibration).unwrap_err();
+        assert!(err.to_string().contains("unknown segment kind 5"), "{err}");
     }
 
     #[test]

@@ -38,6 +38,11 @@ pub(crate) const HEADER_LEN: usize = 8 + 4 + 4 + 8 + 8;
 
 /// What a segment payload encodes. The kind is part of the envelope so that
 /// a mis-routed file (say a level segment read as a catalog) fails loudly.
+///
+/// Tag 5 belonged to the learned accuracy-SLO curves (`slo.seg`), which are
+/// no longer written or read; it is never reused, so a store directory from
+/// before their removal still opens, and its `slo.seg` reads as an unknown
+/// kind rather than as something else.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SegmentKind {
     /// A full [`beas_relal::Database`]: schema plus every relation instance.
@@ -48,9 +53,6 @@ pub(crate) enum SegmentKind {
     Level,
     /// The persisted calibration record.
     Calibration,
-    /// The persisted accuracy-SLO curve store (`beas-slo` payload, opaque
-    /// to this crate).
-    SloCurves,
 }
 
 impl SegmentKind {
@@ -60,7 +62,6 @@ impl SegmentKind {
             SegmentKind::Catalog => 2,
             SegmentKind::Level => 3,
             SegmentKind::Calibration => 4,
-            SegmentKind::SloCurves => 5,
         }
     }
 
@@ -70,7 +71,6 @@ impl SegmentKind {
             2 => Ok(SegmentKind::Catalog),
             3 => Ok(SegmentKind::Level),
             4 => Ok(SegmentKind::Calibration),
-            5 => Ok(SegmentKind::SloCurves),
             other => Err(StoreError::Corrupt(format!("unknown segment kind {other}"))),
         }
     }

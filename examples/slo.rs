@@ -1,21 +1,18 @@
-//! Accuracy-SLO serving: ask for η, not a budget.
+//! Accuracy-target serving: ask for η, not a budget.
 //!
 //! Builds a poi engine whose coarse index levels genuinely approximate the
 //! (hotel, NYC) fragment, then serves accuracy-denominated requests through
-//! [`Beas::answer_with_target`]:
+//! [`Beas::answer_with_target`]. η is a deterministic function of the query,
+//! the catalog and the budget, computed by the planner before any tuple is
+//! fetched, so the engine searches the smallest budget whose planned η
+//! reaches the target (about `2·log₂(|D|)` plans) and executes once. There
+//! is nothing to learn and no cold start: the very first `eta:0.9` /
+//! `eta:0.95` requests meet their targets below half the full budget
+//! (asserted), and a repeated request spends exactly the same (asserted).
 //!
-//! 1. **cold** — with nothing learned yet, an `eta:0.95` request falls back
-//!    to the full-evaluation budget: the engine never promises an accuracy
-//!    it has no evidence for;
-//! 2. **warm-up** — a few budget-denominated answers over the ratio ladder
-//!    teach the η-vs-budget curve what each budget actually buys;
-//! 3. **warm** — the same `eta:0.9` / `eta:0.95` requests now resolve to the
-//!    cheapest learned budget, meeting the target at a fraction of the
-//!    full-evaluation spend (asserted: η ≥ target, budget < 50% of full).
-//!
-//! The adaptive refinement schedule rides the same curve:
-//! `RefinementSchedule::to_accuracy(0.9)` collapses to a single full-budget
-//! step when cold and to a short, low-Δη-pruned trajectory when warm.
+//! The adaptive refinement schedule rides the same search:
+//! `RefinementSchedule::to_accuracy(0.9)` ends at the searched budget and
+//! keeps only the ladder rungs below it that raise the planned η.
 //!
 //! ```text
 //! cargo run --release --example slo
@@ -65,79 +62,59 @@ fn main() {
     b.output(h, "price", "price").unwrap();
     let query: BeasQuery = b.build().unwrap().into();
 
-    // ---- cold: eta:0.95 with an empty curve store must fall back to the
-    // full-budget spec — never over-promise
-    let target95 = AccuracyTarget::new(0.95).unwrap();
-    let cold = engine.answer_with_target(&query, &target95).unwrap();
-    println!(
-        "\ncold  {}  ->  budget {} ({}), eta = {:.3}, spent {}, curve_backed = {}",
-        target95, cold.answer.budget, cold.spec, cold.answer.eta, cold.spent, cold.curve_backed
-    );
-    assert!(!cold.curve_backed, "nothing learned yet");
-    assert!(
-        cold.feasible && cold.answer.eta >= 0.95,
-        "the cold fallback must meet the target"
-    );
-
-    // a cold adaptive schedule collapses the same way: one full-budget step
-    let prepared = engine.prepare(&query).unwrap();
-    {
-        // the cold check above already taught the curve its (full) budget, so
-        // probe with a different target the curve cannot plan yet
-        let session = prepared
-            .session(RefinementSchedule::to_accuracy(0.9).unwrap())
-            .unwrap();
-        println!(
-            "cold  to_accuracy(0.9) trajectory: {} step(s)",
-            session.steps()
-        );
-    }
-
-    // ---- warm-up: budget-denominated serving IS the training signal
-    println!("\nwarm-up: 3 passes over the ratio ladder");
-    for _ in 0..3 {
-        for ratio in [0.02, 0.05, 0.1, 0.2, 0.4, 0.7, 1.0] {
-            engine.answer(&query, ResourceSpec::Ratio(ratio)).unwrap();
-        }
-    }
-
-    // ---- warm: the targets now resolve off the learned curve
-    println!("\nwarm targeted serving:");
-    println!("  target     budget  eta    spent  curve  escalations  vs_full");
+    // ---- targeted serving on a fresh engine: the first request already
+    // spends the searched budget, and a repeat spends exactly the same
+    println!("\ntargeted serving:");
+    println!("  target     budget  eta    spent  escalations  vs_full");
     for eta in [0.9, 0.95, 0.99] {
         let target = AccuracyTarget::new(eta).unwrap();
         let predicted = engine.predict_target_cost(&query, &target).unwrap();
-        let served = engine.answer_with_target(&query, &target).unwrap();
+        let first = engine.answer_with_target(&query, &target).unwrap();
         println!(
-            "  eta:{eta:<5} {:>6}  {:.3}  {:>5}  {:>5}  {:>11}  {:>6.0}%",
-            served.answer.budget,
-            served.answer.eta,
-            served.spent,
-            served.curve_backed,
-            served.escalations,
-            100.0 * served.answer.budget as f64 / full_budget as f64,
+            "  eta:{eta:<5} {:>6}  {:.3}  {:>5}  {:>11}  {:>6.0}%",
+            first.answer.budget,
+            first.answer.eta,
+            first.spent,
+            first.escalations,
+            100.0 * first.answer.budget as f64 / full_budget as f64,
         );
         assert_eq!(
-            predicted, served.predicted_budget,
-            "admission charges what serving plans"
+            predicted, first.predicted_budget,
+            "admission charges what serving searches"
         );
-        assert!(served.feasible, "the warm curve must serve eta:{eta}");
+        assert!(first.feasible, "eta:{eta} is reachable on this workload");
         assert!(
-            served.answer.eta >= eta,
+            first.answer.eta >= eta,
             "achieved {} below target {eta}",
-            served.answer.eta
+            first.answer.eta
         );
-        // the acceptance bar: a warm planner serves the target well under
-        // half the full-evaluation budget on this workload
-        assert!(
-            served.answer.budget * 2 < full_budget,
-            "warm planner should spend < 50% of the full budget, chose {}",
-            served.answer.budget
+        if eta <= 0.95 {
+            // the acceptance bar: the first request meets the target well
+            // under half the full-evaluation budget
+            assert!(
+                first.answer.budget * 2 < full_budget,
+                "eta:{eta} should cost < 50% of the full budget, searched {}",
+                first.answer.budget
+            );
+        }
+        let again = engine.answer_with_target(&query, &target).unwrap();
+        assert_eq!(
+            (
+                again.answer.budget,
+                again.spent,
+                again.answer.answers.digest()
+            ),
+            (
+                first.answer.budget,
+                first.spent,
+                first.answer.answers.digest()
+            ),
+            "a repeated request spends exactly what the first did"
         );
-        assert!(served.curve_backed, "warm answers plan off the curve");
     }
 
-    // ---- the adaptive schedule now stops at the learned budget too
+    // ---- the adaptive schedule ends at the searched budget
+    let prepared = engine.prepare(&query).unwrap();
     let session = prepared
         .session(RefinementSchedule::to_accuracy(0.9).unwrap())
         .unwrap();
@@ -146,30 +123,12 @@ fn main() {
         .iter()
         .map(|(spec, budget)| format!("{spec} ({budget})"))
         .collect();
-    println!(
-        "\nwarm  to_accuracy(0.9) trajectory: [{}]",
-        trajectory.join(", ")
-    );
+    println!("\nto_accuracy(0.9) trajectory: [{}]", trajectory.join(", "));
     let mut last = None;
     for step in session {
         last = Some(step.unwrap());
     }
     let last = last.expect("trajectory has steps");
-    assert!(
-        last.eta >= 0.9 || last.budget >= full_budget,
-        "the final step meets the goal or is the full budget"
-    );
-
-    let counters = engine.slo_counters();
-    println!(
-        "\nslo store: {} fingerprints, {} observations, {} hits / {} misses, \
-         {} settlements, mean |predicted - spent| = {:.0} tuples",
-        counters.fingerprints,
-        counters.observations,
-        counters.prediction_hits,
-        counters.prediction_misses,
-        counters.settlements,
-        counters.mean_abs_spend_error(),
-    );
-    println!("ok: cold requests never over-promise; warm requests hit the target cheaply");
+    assert!(last.eta >= 0.9, "the final step meets the goal");
+    println!("ok: every target met from the first request, at a repeatable spend");
 }

@@ -11,14 +11,12 @@
 //! * [`access`] — access schemas: templates, constraints, K-D tree indices,
 //!   typed resource specs, budget-enforcing fetch;
 //! * [`core`] — the session-oriented BEAS engine (builder, planner, executor,
-//!   prepared queries, incremental maintenance) and the RC accuracy measure;
-//! * [`slo`] — accuracy-SLO serving: online η-vs-budget curve learning
-//!   ([`CurveStore`](slo::CurveStore)) and the accuracy-denominated request
-//!   vocabulary ([`AccuracyTarget`](slo::AccuracyTarget)), backing
-//!   [`Beas::answer_with_target`](core::Beas::answer_with_target) — ask for
-//!   `eta:0.95` instead of a budget and the planner picks the cheapest
-//!   budget predicted to reach it, escalating (never over-promising) when
-//!   the prediction falls short;
+//!   prepared queries, incremental maintenance) and the RC accuracy measure,
+//!   plus accuracy targets: ask
+//!   [`Beas::answer_with_target`](core::Beas::answer_with_target) for
+//!   `eta:0.95` ([`AccuracyTarget`](core::AccuracyTarget)) instead of a
+//!   budget and the planner searches the smallest budget whose planned η
+//!   reaches it;
 //! * [`serve`] — the multi-tenant network serving front-end: a std-only
 //!   HTTP/1.1 server exposing the engine over a JSON wire protocol, with
 //!   per-tenant budget-aware admission control (token buckets in budget
@@ -112,7 +110,6 @@ pub use beas_cluster as cluster;
 pub use beas_core as core;
 pub use beas_relal as relal;
 pub use beas_serve as serve;
-pub use beas_slo as slo;
 pub use beas_workloads as workloads;
 
 /// Commonly used items from across the workspace.
@@ -128,11 +125,11 @@ pub mod prelude {
         ShardOutage, ShardServer, ShardTransport, TcpShardTransport,
     };
     pub use beas_core::{
-        exact_answers, f_measure, mac_accuracy, rc_accuracy, AccuracyConfig, AggQuery,
-        AnswerSession, Beas, BeasAnswer, BeasBuilder, BeasQuery, BoundedPlan, ConstraintSpec,
-        EngineSnapshot, EngineStats, ExecOptions, Planner, PreparedQuery, QueryFingerprint,
-        RaQuery, RefinementSchedule, RefinementStep, ServeHandle, StoreOptions, TargetedAnswer,
-        UpdateBatch,
+        exact_answers, f_measure, mac_accuracy, rc_accuracy, AccuracyConfig, AccuracyTarget,
+        AggQuery, AnswerSession, Beas, BeasAnswer, BeasBuilder, BeasQuery, BoundedPlan,
+        ConstraintSpec, EngineSnapshot, EngineStats, ExecOptions, Planner, PreparedQuery,
+        QueryFingerprint, RaQuery, RefinementSchedule, RefinementStep, ServeHandle, StoreOptions,
+        TargetedAnswer, UpdateBatch,
     };
     pub use beas_relal::{
         aggregate_relation, AggFunc, Attribute, Column, CompareOp, Database, DatabaseSchema,
@@ -140,7 +137,6 @@ pub mod prelude {
         SpcQuery, SpcQueryBuilder, StrDict, Value,
     };
     pub use beas_serve::{serve, RunningServer, ServeConfig, TenantPolicy};
-    pub use beas_slo::{AccuracyTarget, CurveStore, SloCounters, SloPrior};
     pub use beas_workloads::{
         airca::airca_lite,
         querygen::{generate_workload, QueryGenConfig},

@@ -10,6 +10,9 @@
 //!   budgets from one tuple to unbounded, and on hand-built plans with an
 //!   `∞` term;
 //! * Theorem 5(3) and the chase's reserve rule hold on the same pools;
+//! * the budget search behind accuracy targets
+//!   ([`Planner::plan_for_target`]) returns a minimal budget that reaches
+//!   the target, and reports infeasible exactly when the cap misses it;
 //! * η attribution ([`Planner::binding_site`]) names a level that does bind.
 //!
 //! Cases are seeded; every failure message carries dataset, seed, query index
@@ -402,15 +405,24 @@ fn compiled_planner_reproduces_the_reference_plans_bit_for_bit() {
 }
 
 /// Theorem 5(3), `α1 ≥ α2 ⇒ η1 ≥ η2`, and the reserve rule of the chase: a
-/// budget of at least one tuple per relation atom is never exceeded.
+/// budget of at least one tuple per relation atom is never exceeded. The
+/// budgets include every power of two up to `|D|` — the ones the target
+/// search gallops over.
 #[test]
 fn larger_budget_never_lowers_eta_and_tariff_respects_the_budget() {
     for pool in pools() {
         let planner = Planner::new(&pool.catalog);
+        let mut budgets = vec![1, 5, 20, 50, 200, 500, 2000, 10_000, usize::MAX];
+        budgets.extend(
+            std::iter::successors(Some(1usize), |b| b.checked_mul(2))
+                .take_while(|&b| b <= pool.catalog.db_size),
+        );
+        budgets.sort_unstable();
+        budgets.dedup();
         for (seed, i, query) in &pool.queries {
             let atoms = query.relation_count();
             let mut last = -1.0f64;
-            for budget in [1, 5, 20, 50, 200, 500, 2000, 10_000, usize::MAX] {
+            for &budget in &budgets {
                 let at = format!("{} seed {seed} query {i} budget {budget}", pool.name);
                 let plan = planner.plan_with_budget(query, budget).expect(&at);
                 assert!(
@@ -430,6 +442,51 @@ fn larger_budget_never_lowers_eta_and_tariff_respects_the_budget() {
             assert_eq!(last, 1.0, "{} seed {seed} query {i}: unbounded", pool.name);
         }
     }
+}
+
+/// The target search over the pools: a feasible result reaches η at a budget
+/// one tuple below which the plan misses it, and is the plan that budget
+/// gets directly; infeasible means exactly that the cap misses η.
+#[test]
+fn target_search_is_minimal_and_sound() {
+    let (mut feasible, mut above_one) = (0usize, 0usize);
+    for pool in pools() {
+        let planner = Planner::new(&pool.catalog);
+        let cap = pool.catalog.budget(&ResourceSpec::FULL).unwrap();
+        for (seed, i, query) in &pool.queries {
+            let at_cap = planner.plan_with_budget(query, cap).unwrap();
+            for eta in [0.1, 0.3, 0.5, 0.8, 1.0] {
+                let at = format!("{} seed {seed} query {i} eta {eta}", pool.name);
+                let (plan, ok) = planner.plan_for_target(query, eta, cap).expect(&at);
+                assert_eq!(ok, at_cap.eta >= eta, "{at}: feasibility");
+                if !ok {
+                    assert_eq!(plan.budget, cap, "{at}: infeasible off the cap");
+                    assert_eq!(plan.eta.to_bits(), at_cap.eta.to_bits(), "{at}");
+                    continue;
+                }
+                feasible += 1;
+                assert!(plan.eta >= eta, "{at}: eta {} at {}", plan.eta, plan.budget);
+                let direct = planner.plan_with_budget(query, plan.budget).unwrap();
+                assert_eq!(plan.fetch, direct.fetch, "{at}: not the direct plan");
+                assert_eq!(plan.eta.to_bits(), direct.eta.to_bits(), "{at}");
+                if plan.budget > 1 {
+                    above_one += 1;
+                    let below = planner.plan_with_budget(query, plan.budget - 1).unwrap();
+                    assert!(
+                        below.eta < eta,
+                        "{at}: budget {} is not minimal ({} reaches {})",
+                        plan.budget,
+                        plan.budget - 1,
+                        below.eta
+                    );
+                }
+            }
+        }
+    }
+    assert!(
+        feasible > 100 && above_one > 50,
+        "feasible {feasible}, above one {above_one}"
+    );
 }
 
 #[test]
