@@ -32,7 +32,7 @@ use beas_core::{
     ResourceSpec, TargetedAnswer,
 };
 use beas_relal::{Database, DatabaseSchema};
-use beas_serve::{query_from_json, query_to_json, relation_from_json, Json};
+use beas_serve::{query_from_json, query_to_json, Json};
 
 use crate::budget::split_budget;
 use crate::error::{ClusterError, Result, ShardFailure};
@@ -654,12 +654,17 @@ impl ClusterHandle {
                 self.threads,
                 self.min_shard_rows,
             );
-            match self.call(shard, &request, None) {
-                Ok(response) => {
-                    *seen = step_accounting_of(&response)?;
-                    let tariff = protocol::req_usize(&response, "tariff")?;
-                    let nodes = protocol::req_usize(&response, "nodes")?;
-                    let leaves = protocol::req_usize(&response, "leaves")?;
+            let decode = |response: &Json| {
+                Ok((
+                    step_accounting_of(response)?,
+                    protocol::req_usize(response, "tariff")?,
+                    protocol::req_usize(response, "nodes")?,
+                    protocol::req_usize(response, "leaves")?,
+                ))
+            };
+            match self.call(shard, &request, None, decode) {
+                Ok((accounting, tariff, nodes, leaves)) => {
+                    *seen = accounting;
                     if tariff != plan.tariff
                         || nodes != plan.fetch.nodes.len()
                         || leaves != plan.leaves.len()
@@ -710,16 +715,21 @@ impl ClusterHandle {
                 continue;
             }
             let keys = node_keys(node, &fragments)?;
+            let decode = |response: &Json| {
+                Ok((
+                    protocol::frame_from_json(protocol::req_field(response, "frame")?)?,
+                    step_accounting_of(response)?,
+                ))
+            };
             match self.call(
                 owner,
                 &protocol::fetch_request(session, node.id, &keys),
                 Some(&opens[owner]),
+                decode,
             ) {
-                Ok(response) => {
-                    let rel = Arc::new(relation_from_json(protocol::req_field(
-                        &response, "relation",
-                    )?)?);
-                    last_seen[owner] = step_accounting_of(&response)?;
+                Ok((rel, accounting)) => {
+                    let rel = Arc::new(rel);
+                    last_seen[owner] = accounting;
                     let fragment =
                         state.adopt_fragment(node.family, node.level, keys, Arc::clone(&rel));
                     fragments.set(node.id, fragment, rel);
@@ -748,29 +758,28 @@ impl ClusterHandle {
             }
             let remote = match self.sole_owner(plan, leaf_plan)? {
                 Some(shard) if !dead[shard] => {
+                    let decode = |response: &Json| {
+                        Ok(LeafEval {
+                            rel: Arc::new(protocol::frame_from_json(protocol::req_field(
+                                response, "frame",
+                            )?)?),
+                            out_res: protocol::resolutions_from_json(protocol::req_field(
+                                response, "out_res",
+                            )?)?,
+                            exact: protocol::req_field(response, "exact")?
+                                .as_bool()
+                                .ok_or_else(|| {
+                                    ClusterError::Wire("exact must be a bool".to_string())
+                                })?,
+                        })
+                    };
                     match self.call(
                         shard,
                         &protocol::leaf_request(session, index),
                         Some(&opens[shard]),
+                        decode,
                     ) {
-                        Ok(response) => {
-                            let rel = Arc::new(relation_from_json(protocol::req_field(
-                                &response, "relation",
-                            )?)?);
-                            let out_res = protocol::resolutions_from_json(protocol::req_field(
-                                &response, "out_res",
-                            )?)?;
-                            let exact = protocol::req_field(&response, "exact")?
-                                .as_bool()
-                                .ok_or_else(|| {
-                                    ClusterError::Wire("exact must be a bool".to_string())
-                                })?;
-                            Some(LeafEval {
-                                rel,
-                                out_res,
-                                exact,
-                            })
-                        }
+                        Ok(leaf) => Some(leaf),
                         Err(e) => {
                             // the shard died between fetch and leaf; every
                             // fragment is at the coordinator, so salvage the
@@ -866,10 +875,19 @@ impl ClusterHandle {
     /// One protocol exchange with `shard` under the retry policy: timed per
     /// attempt, retried on transient failures with exponential backoff and
     /// deterministic jitter, healed through a `no_session` re-open when
-    /// `reopen` carries the step's open request, and `ok`-checked. A
-    /// retryable failure that survives every attempt comes back as
+    /// `reopen` carries the step's open request, `ok`-checked, and decoded by
+    /// `decode` inside the attempt — a response that parses but does not
+    /// decode (a damaged frame, a missing field) is a retryable
+    /// [`ClusterError::Wire`] like any other garbled response. A retryable
+    /// failure that survives every attempt comes back as
     /// [`ClusterError::ShardFailed`] with the full attempt context.
-    fn call(&self, shard: usize, request: &Json, reopen: Option<&Json>) -> Result<Json> {
+    fn call<T>(
+        &self,
+        shard: usize,
+        request: &Json,
+        reopen: Option<&Json>,
+        decode: impl Fn(&Json) -> Result<T>,
+    ) -> Result<T> {
         let policy = self.retry;
         let start = Instant::now();
         let hard_deadline = start + policy.deadline;
@@ -884,16 +902,12 @@ impl ClusterHandle {
             self.metrics
                 .record_shard_call(shard, attempt_start.elapsed());
             let error = match result {
-                Ok(response) => {
-                    if protocol::error_code(&response) == Some(protocol::NO_SESSION) {
-                        let Some(reopen) = reopen else {
-                            // no way to heal (the open itself): surface the
-                            // shard's error as a protocol error
-                            protocol::expect_ok(&response)?;
-                            return Ok(response);
-                        };
-                        // the shard lost the session (evicted or restarted):
-                        // re-open to restore affinity, then retry the call
+                Ok(response) => match reopen {
+                    // the shard lost the session (evicted or restarted):
+                    // re-open to restore affinity, then retry the call
+                    Some(reopen)
+                        if protocol::error_code(&response) == Some(protocol::NO_SESSION) =>
+                    {
                         match self
                             .transport
                             .call_deadline(shard, reopen, Some(hard_deadline))
@@ -914,11 +928,17 @@ impl ClusterHandle {
                             }
                             Err(e) => e,
                         }
-                    } else {
-                        protocol::expect_ok(&response)?;
-                        return Ok(response);
                     }
-                }
+                    // without a re-open to heal with (the open itself), a
+                    // `no_session` answer surfaces as a protocol error
+                    _ => {
+                        protocol::expect_ok(&response)?;
+                        match decode(&response) {
+                            Ok(decoded) => return Ok(decoded),
+                            Err(e) => e,
+                        }
+                    }
+                },
                 Err(e) => e,
             };
             if matches!(error, ClusterError::Timeout { .. }) {
@@ -994,12 +1014,16 @@ impl ClusterHandle {
     }
 
     /// Closes session `session` on every shard, ignoring per-shard errors
-    /// (a shard that never opened it answers with a protocol error).
+    /// (a shard that never opened it answers with a protocol error). The
+    /// whole round shares one retry deadline, so a hung shard delays an
+    /// answer by at most that much, not by its transport's default timeout.
     fn close_all(&self, session: u64) {
+        let deadline = Instant::now() + self.retry.deadline;
+        let request = protocol::stats_request(session, true);
         for shard in 0..self.shards() {
             let _ = self
                 .transport
-                .call(shard, &protocol::stats_request(session, true));
+                .call_deadline(shard, &request, Some(deadline));
         }
     }
 }
@@ -1774,5 +1798,171 @@ mod tests {
         // the single-node session's after its first step
         assert_eq!(c2.budget_spent, s1.budget_spent);
         assert_eq!(c2.reused_tuples, 0);
+    }
+
+    /// A transport that flips one base64 digit inside the `frame` of the
+    /// `fetch` responses from `shard` — the first one only, or every one —
+    /// so that the JSON still parses and only the frame checksum can tell.
+    struct CorruptFrames {
+        inner: Arc<dyn ShardTransport>,
+        shard: usize,
+        every: bool,
+        corrupted: std::sync::atomic::AtomicUsize,
+    }
+
+    impl CorruptFrames {
+        fn install(cluster: &mut ClusterHandle, shard: usize, every: bool) -> Arc<CorruptFrames> {
+            let corrupt = Arc::new(CorruptFrames {
+                inner: Arc::clone(cluster.transport()),
+                shard,
+                every,
+                corrupted: Default::default(),
+            });
+            cluster.set_transport(Arc::clone(&corrupt) as Arc<dyn ShardTransport>);
+            corrupt
+        }
+    }
+
+    impl ShardTransport for CorruptFrames {
+        fn call(&self, shard: usize, request: &Json) -> Result<Json> {
+            let response = self.inner.call(shard, request)?;
+            let op = request.get("op").and_then(Json::as_str);
+            let first = self.corrupted.load(Ordering::SeqCst) == 0;
+            let Json::Obj(mut fields) = response else {
+                return Ok(response);
+            };
+            if shard == self.shard && op == Some("fetch") && (self.every || first) {
+                for (name, value) in &mut fields {
+                    if let (true, Json::Str(frame)) = (name == "frame", &mut *value) {
+                        let mid = frame.len() / 2;
+                        let flipped = if &frame[mid..=mid] == "A" { "B" } else { "A" };
+                        frame.replace_range(mid..=mid, flipped);
+                        self.corrupted.fetch_add(1, Ordering::SeqCst);
+                    }
+                }
+            }
+            Ok(Json::Obj(fields))
+        }
+
+        fn shards(&self) -> usize {
+            self.inner.shards()
+        }
+    }
+
+    fn total_retries(cluster: &ClusterHandle) -> i64 {
+        cluster
+            .metrics()
+            .to_json()
+            .get("shards")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .map(|s| s.get("retries").and_then(Json::as_i64).unwrap())
+            .sum()
+    }
+
+    #[test]
+    fn a_corrupt_frame_is_retried_to_the_single_node_answer() {
+        let (mut cluster, single) = cluster_and_single(3);
+        cluster.set_retry_policy(RetryPolicy::fast());
+        let query = join_query(cluster.schema());
+        let budget = cluster.catalog().budget(&ResourceSpec::FULL).unwrap();
+        let plan = Planner::new(cluster.catalog())
+            .plan_with_budget(&query, budget)
+            .unwrap();
+        let owner = cluster.owner_of_family(plan.fetch.nodes[0].family).unwrap();
+        let corrupt = CorruptFrames::install(&mut cluster, owner, false);
+        let a = cluster.answer(&query, ResourceSpec::FULL).unwrap();
+        assert_eq!(corrupt.corrupted.load(Ordering::SeqCst), 1);
+        assert_same(&a, &single.answer(&query, ResourceSpec::FULL).unwrap());
+        assert!(!a.partial);
+        assert_eq!(
+            total_retries(&cluster),
+            1,
+            "one retry, for the one bad frame"
+        );
+    }
+
+    #[test]
+    fn a_shard_whose_every_frame_is_corrupt_degrades_instead_of_failing() {
+        let (mut cluster, _single) = cluster_and_single(3);
+        cluster.set_retry_policy(RetryPolicy::fast());
+        cluster.set_degraded_policy(DegradedPolicy::PartialAnswer);
+        let query = join_query(cluster.schema());
+        let budget = cluster.catalog().budget(&ResourceSpec::FULL).unwrap();
+        let plan = Planner::new(cluster.catalog())
+            .plan_with_budget(&query, budget)
+            .unwrap();
+        let owner = cluster.owner_of_family(plan.fetch.nodes[0].family).unwrap();
+        CorruptFrames::install(&mut cluster, owner, true);
+        let (answer, outage) = cluster
+            .answer_with_report(&query, ResourceSpec::FULL)
+            .unwrap();
+        assert!(answer.partial);
+        let outage = outage.expect("an outage report");
+        assert_eq!(outage.shards.len(), 1);
+        let failure = &outage.shards[0].failure;
+        assert_eq!((failure.shard, failure.op.as_str()), (owner, "fetch"));
+        assert!(failure.last_error.contains("checksum"), "{failure}");
+
+        // under the default policy the same shard fails the query, with context
+        cluster.set_degraded_policy(DegradedPolicy::Fail);
+        let err = cluster.answer(&query, ResourceSpec::FULL).unwrap_err();
+        assert!(matches!(err, ClusterError::ShardFailed(_)), "{err}");
+    }
+
+    /// A transport whose `close` calls to `shard` hang until the caller's
+    /// deadline, or for five seconds when the caller gives none.
+    struct StallClose {
+        inner: Arc<dyn ShardTransport>,
+        shard: usize,
+    }
+
+    impl ShardTransport for StallClose {
+        fn call(&self, shard: usize, request: &Json) -> Result<Json> {
+            self.call_deadline(shard, request, None)
+        }
+
+        fn call_deadline(
+            &self,
+            shard: usize,
+            request: &Json,
+            deadline: Option<Instant>,
+        ) -> Result<Json> {
+            if shard == self.shard && request.get("op").and_then(Json::as_str) == Some("close") {
+                let start = Instant::now();
+                let until = deadline.unwrap_or(start + Duration::from_secs(5));
+                std::thread::sleep(until.saturating_duration_since(start));
+                return Err(ClusterError::Timeout {
+                    shard,
+                    elapsed: start.elapsed(),
+                    deadline: until.saturating_duration_since(start),
+                });
+            }
+            self.inner.call_deadline(shard, request, deadline)
+        }
+
+        fn shards(&self) -> usize {
+            self.inner.shards()
+        }
+    }
+
+    #[test]
+    fn a_hung_close_delays_the_answer_by_at_most_the_retry_deadline() {
+        let (mut cluster, single) = cluster_and_single(3);
+        let policy = RetryPolicy::fast();
+        cluster.set_retry_policy(policy);
+        let inner = Arc::clone(cluster.transport());
+        cluster.set_transport(Arc::new(StallClose { inner, shard: 1 }));
+        let query = join_query(cluster.schema());
+        let start = Instant::now();
+        let a = cluster.answer(&query, ResourceSpec::FULL).unwrap();
+        let elapsed = start.elapsed();
+        assert_same(&a, &single.answer(&query, ResourceSpec::FULL).unwrap());
+        assert!(
+            elapsed < policy.deadline + Duration::from_secs(1),
+            "answer took {elapsed:?} with a {:?} retry deadline",
+            policy.deadline
+        );
     }
 }

@@ -17,7 +17,7 @@ use beas_serve::WireError;
 pub enum ClusterError {
     /// An engine-side failure (planning, execution, budget enforcement).
     Engine(BeasError),
-    /// A malformed wire message (query, relation or value encoding).
+    /// A malformed wire message (query, relation frame or value encoding).
     Wire(String),
     /// A protocol violation: a shard answered something the coordinator did
     /// not expect (missing field, divergent plan, unknown session).
@@ -142,6 +142,12 @@ impl From<beas_access::AccessError> for ClusterError {
 impl From<WireError> for ClusterError {
     fn from(e: WireError) -> Self {
         ClusterError::Wire(e.to_string())
+    }
+}
+
+impl From<beas_relal::codec::CodecError> for ClusterError {
+    fn from(e: beas_relal::codec::CodecError) -> Self {
+        ClusterError::Wire(format!("bad frame: {e}"))
     }
 }
 

@@ -19,8 +19,9 @@
 //!   coordinator re-registers those `Arc`-shared families in canonical
 //!   single-node order, so planning over the cluster catalog is *identical*
 //!   to single-node planning.
-//! * Messages use `beas-serve`'s wire encoding (see [`crate::protocol`]);
-//!   [`InProcessTransport`] round-trips every message through its serialized
+//! * Control messages use `beas-serve`'s JSON wire encoding, and fragments
+//!   and leaf results travel inside them as checksummed binary column frames
+//!   (see [`crate::protocol`]); [`InProcessTransport`] round-trips every message through its serialized
 //!   text form, so tests exercise the exact bytes a TCP transport would
 //!   carry — and [`TcpShardTransport`] carries those bytes over real
 //!   sockets to [`ShardServer`]s, with per-shard connection pooling,

@@ -31,7 +31,7 @@ use beas_core::{
     evaluate_plan_leaf, Beas, BoundedPlan, ExecOptions, ExecState, PlanFragments, Planner,
 };
 use beas_relal::Relation;
-use beas_serve::{parse_json, query_from_json, relation_to_json, Json};
+use beas_serve::{parse_json, query_from_json, Json};
 
 use crate::error::{ClusterError, Result};
 use crate::protocol;
@@ -252,7 +252,7 @@ impl ShardNode {
         // at-least-once delivery: a fetch retried after its response was lost
         // must not bill the share a second time
         if let Some(rel) = open.step_served.get(&node_id) {
-            let mut fields = vec![("relation", relation_to_json(rel))];
+            let mut fields = vec![("frame", protocol::frame_to_json(rel))];
             fields.extend(Self::step_accounting(open));
             return Ok(protocol::ok_response(fields));
         }
@@ -274,7 +274,7 @@ impl ShardNode {
         open.fetch_ops += fetch.counter().fetches;
         open.fragments.set(node_id, fragment, Arc::clone(&rel));
         open.step_served.insert(node_id, Arc::clone(&rel));
-        let mut fields = vec![("relation", relation_to_json(&rel))];
+        let mut fields = vec![("frame", protocol::frame_to_json(&rel))];
         fields.extend(Self::step_accounting(open));
         Ok(protocol::ok_response(fields))
     }
@@ -310,7 +310,7 @@ impl ShardNode {
         // evaluation over the same fragments without recomputation or billing
         let eval = evaluate_plan_leaf(leaf, plan, &self.catalog, fragments, options, state)?;
         Ok(protocol::ok_response(vec![
-            ("relation", relation_to_json(&eval.rel)),
+            ("frame", protocol::frame_to_json(&eval.rel)),
             ("out_res", protocol::resolutions_to_json(&eval.out_res)),
             ("exact", Json::Bool(eval.exact)),
         ]))

@@ -4,9 +4,11 @@
 //!
 //! Framing reuses `beas-serve`'s std-only HTTP/1.1 machinery — each protocol
 //! message is a `POST /shard` whose body is the request JSON, each response
-//! the response JSON — so the bytes on the wire are exactly the serialized
-//! messages [`InProcessTransport`](crate::InProcessTransport) round-trips in
-//! memory, and any HTTP client can poke a shard for debugging. The server
+//! the response JSON, with fragments and leaf results inside as one base64
+//! column frame each ([`crate::protocol::relation_to_frame`]) — so the bytes
+//! on the wire are exactly the serialized messages
+//! [`InProcessTransport`](crate::InProcessTransport) round-trips in memory,
+//! and any HTTP client can poke a shard for debugging. The server
 //! side is `beas_serve::http::listen`, the one accept and connection loop of
 //! the workspace: `TCP_NODELAY` on, and every message — request and response
 //! alike — written head and body in one buffer. A hop is then a loopback

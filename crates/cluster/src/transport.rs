@@ -1,10 +1,11 @@
 //! Transport abstraction between coordinator and shards.
 //!
-//! The protocol is transport-agnostic JSON (see [`crate::protocol`]); a
-//! transport only moves one request to one shard and brings its response
-//! back. [`InProcessTransport`] — the reference implementation used by
-//! tests, examples and the load generator — still serializes every message
-//! to wire text and parses it back, so the full encode/decode path is
+//! The protocol is transport-agnostic JSON with relations inside as base64
+//! column frames (see [`crate::protocol`]); a transport only moves one
+//! request to one shard and brings its response back. [`InProcessTransport`]
+//! — the reference implementation behind a freshly built cluster, the tests
+//! and the examples — still serializes every message to wire text and
+//! parses it back, so the full encode/decode path, frames included, is
 //! exercised even without sockets: a TCP transport
 //! ([`TcpShardTransport`](crate::tcp::TcpShardTransport)) sees
 //! byte-identical traffic. [`FaultInjectingTransport`] decorates any inner

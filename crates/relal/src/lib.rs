@@ -15,7 +15,9 @@
 //! tail at the same lane offsets), the conjunction ANDs mask words
 //! chunk-by-chunk, and selected row indices are emitted from the surviving
 //! bits. Hash joins key on dictionary codes, and numeric band joins sort
-//! monotone integer total-order keys of the raw `f64` columns.
+//! monotone integer total-order keys of the raw `f64` columns. The binary
+//! [`codec`] writes and reads typed columns and relations as they are laid
+//! out in memory; the durable store and the cluster wire both use it.
 //!
 //! The paper ("Data Driven Approximation with Bounded Resources", VLDB 2017)
 //! runs BEAS on top of a commercial DBMS; this crate plays that role here so
@@ -24,6 +26,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod codec;
 pub mod distance;
 pub mod error;
 pub mod eval;

@@ -614,6 +614,18 @@ impl Relation {
     /// Creates a relation directly from columnar data, validating that every
     /// column has the same length and that names and data agree in arity.
     pub fn from_columns(columns: Vec<String>, cols: Vec<Column>) -> Result<Self> {
+        let nrows = cols.first().map(|c| c.len()).unwrap_or(0);
+        Relation::from_columns_with_len(columns, cols, nrows)
+    }
+
+    /// Like [`Relation::from_columns`], with the row count given: every
+    /// column must hold `nrows` values. This is the one way to rebuild a
+    /// zero-column relation that has rows, without allocating per row.
+    pub fn from_columns_with_len(
+        columns: Vec<String>,
+        cols: Vec<Column>,
+        nrows: usize,
+    ) -> Result<Self> {
         if columns.len() != cols.len() {
             return Err(RelalError::SchemaMismatch(format!(
                 "{} column names for {} data columns",
@@ -621,7 +633,6 @@ impl Relation {
                 cols.len()
             )));
         }
-        let nrows = cols.first().map(|c| c.len()).unwrap_or(0);
         if let Some(bad) = cols.iter().position(|c| c.len() != nrows) {
             return Err(RelalError::SchemaMismatch(format!(
                 "column {bad} has {} rows, expected {nrows}",

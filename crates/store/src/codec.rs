@@ -1,199 +1,34 @@
-//! Binary encoding of the engine's in-memory structures.
+//! The store's payload formats: schemas, databases, level payloads, catalog
+//! metadata and WAL batches.
 //!
-//! Everything is little-endian and fixed-width where possible so that typed
-//! columns round-trip without per-value conversions: an `Int` column is a
-//! length followed by raw `i64` words, a `Float` column stores IEEE-754 bit
-//! patterns verbatim (`NaN`, `±0` and `±∞` survive exactly), and a `Str`
-//! column stores its dictionary strings *in code order* followed by the raw
-//! `u32` codes — re-interning in order reproduces identical codes, so a
-//! decoded column is bit-for-bit the column that was written.
-//!
-//! The format is private to `beas-store`; versioning lives in the segment
-//! envelope (see [`crate::segment`]), not here.
-
-use std::sync::Arc;
+//! Values, typed columns, relations and the primitive reader/writers come
+//! from the shared [`beas_relal::codec`], which the cluster's relation
+//! frames use as well; this module composes them into the store's payloads.
+//! The bytes are exactly those the store wrote when the column codec still
+//! lived here (pinned by `segment_payload_bytes_are_pinned`), and
+//! versioning lives in the segment envelope (see [`crate::segment`]), not
+//! here.
 
 use beas_access::{LevelMeta, LevelParts};
+pub(crate) use beas_relal::codec::{
+    put_bool, put_column, put_f64, put_i64, put_str, put_u32, put_u64, put_u8, put_usize,
+    read_column, Reader,
+};
+use beas_relal::codec::{put_relation, put_value, read_relation, read_value, CodecError};
 use beas_relal::schema::{Attribute, DatabaseSchema, RelationSchema};
-use beas_relal::{Column, Database, DistanceKind, Relation, Row, StrDict, Value, ValueType};
+use beas_relal::{Database, DistanceKind, Relation, Row, ValueType};
 
 use crate::{Result, StoreError};
 
-// ---------------------------------------------------------------------------
-// primitive writers
-// ---------------------------------------------------------------------------
-
-pub(crate) fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
-}
-
-pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_usize(buf: &mut Vec<u8>, v: usize) {
-    put_u64(buf, v as u64);
-}
-
-pub(crate) fn put_i64(buf: &mut Vec<u8>, v: i64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Floats are stored as raw bit patterns: `NaN` payloads, `-0.0` and the
-/// infinities round-trip exactly.
-pub(crate) fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    put_u64(buf, v.to_bits());
-}
-
-pub(crate) fn put_bool(buf: &mut Vec<u8>, v: bool) {
-    put_u8(buf, v as u8);
-}
-
-pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_usize(buf, s.len());
-    buf.extend_from_slice(s.as_bytes());
-}
-
-// ---------------------------------------------------------------------------
-// primitive reader
-// ---------------------------------------------------------------------------
-
-/// A bounds-checked cursor over a decoded payload. Every truncation or tag
-/// mismatch is a [`StoreError::Corrupt`] — the segment checksum makes these
-/// unreachable for intact files, so hitting one means the file was damaged
-/// in a way the checksum did not cover (or a format bug).
-pub(crate) struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    pub(crate) fn is_at_end(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
-        match end {
-            Some(end) => {
-                let out = &self.buf[self.pos..end];
-                self.pos = end;
-                Ok(out)
-            }
-            None => Err(StoreError::Corrupt(format!(
-                "payload truncated: wanted {n} bytes at offset {} of {}",
-                self.pos,
-                self.buf.len()
-            ))),
-        }
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn usize(&mut self) -> Result<usize> {
-        let v = self.u64()?;
-        usize::try_from(v)
-            .map_err(|_| StoreError::Corrupt(format!("length {v} exceeds the address space")))
-    }
-
-    /// A length that must be payload-backed: each element needs at least
-    /// `min_elem` bytes, so a corrupted length can never trigger a huge
-    /// allocation before the bounds check catches it.
-    pub(crate) fn len(&mut self, min_elem: usize) -> Result<usize> {
-        let n = self.usize()?;
-        let remaining = self.buf.len() - self.pos;
-        if n.checked_mul(min_elem.max(1)).is_none_or(|b| b > remaining) {
-            return Err(StoreError::Corrupt(format!(
-                "length {n} inconsistent with {remaining} remaining payload bytes"
-            )));
-        }
-        Ok(n)
-    }
-
-    pub(crate) fn i64(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    pub(crate) fn bool(&mut self) -> Result<bool> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(StoreError::Corrupt(format!("bad bool byte {other}"))),
-        }
-    }
-
-    pub(crate) fn str(&mut self) -> Result<String> {
-        let n = self.len(1)?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|e| StoreError::Corrupt(format!("invalid utf-8 string: {e}")))
+impl From<CodecError> for StoreError {
+    fn from(e: CodecError) -> Self {
+        StoreError::Corrupt(e.0)
     }
 }
 
 // ---------------------------------------------------------------------------
-// values and schema
+// schema
 // ---------------------------------------------------------------------------
-
-const VALUE_INT: u8 = 0;
-const VALUE_DOUBLE: u8 = 1;
-const VALUE_STR: u8 = 2;
-const VALUE_BOOL: u8 = 3;
-const VALUE_NULL: u8 = 4;
-
-pub(crate) fn put_value(buf: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Int(x) => {
-            put_u8(buf, VALUE_INT);
-            put_i64(buf, *x);
-        }
-        Value::Double(x) => {
-            put_u8(buf, VALUE_DOUBLE);
-            put_f64(buf, *x);
-        }
-        Value::Str(s) => {
-            put_u8(buf, VALUE_STR);
-            put_str(buf, s);
-        }
-        Value::Bool(b) => {
-            put_u8(buf, VALUE_BOOL);
-            put_bool(buf, *b);
-        }
-        Value::Null => put_u8(buf, VALUE_NULL),
-    }
-}
-
-pub(crate) fn read_value(r: &mut Reader<'_>) -> Result<Value> {
-    match r.u8()? {
-        VALUE_INT => Ok(Value::Int(r.i64()?)),
-        VALUE_DOUBLE => Ok(Value::Double(r.f64()?)),
-        VALUE_STR => Ok(Value::Str(r.str()?)),
-        VALUE_BOOL => Ok(Value::Bool(r.bool()?)),
-        VALUE_NULL => Ok(Value::Null),
-        other => Err(StoreError::Corrupt(format!("bad value tag {other}"))),
-    }
-}
 
 fn put_value_type(buf: &mut Vec<u8>, ty: ValueType) {
     put_u8(
@@ -288,146 +123,8 @@ pub(crate) fn read_database_schema(r: &mut Reader<'_>) -> Result<DatabaseSchema>
 }
 
 // ---------------------------------------------------------------------------
-// columns and relations
+// databases
 // ---------------------------------------------------------------------------
-
-const COL_INT: u8 = 0;
-const COL_FLOAT: u8 = 1;
-const COL_BOOL: u8 = 2;
-const COL_STR: u8 = 3;
-const COL_MIXED: u8 = 4;
-
-pub(crate) fn put_column(buf: &mut Vec<u8>, col: &Column) {
-    match col {
-        Column::Int(v) => {
-            put_u8(buf, COL_INT);
-            put_usize(buf, v.len());
-            for x in v {
-                put_i64(buf, *x);
-            }
-        }
-        Column::Float(v) => {
-            put_u8(buf, COL_FLOAT);
-            put_usize(buf, v.len());
-            for x in v {
-                put_f64(buf, *x);
-            }
-        }
-        Column::Bool(v) => {
-            put_u8(buf, COL_BOOL);
-            put_usize(buf, v.len());
-            for x in v {
-                put_bool(buf, *x);
-            }
-        }
-        Column::Str { codes, dict } => {
-            put_u8(buf, COL_STR);
-            // dictionary strings in code order: re-interning in order on load
-            // reproduces identical codes, so the raw code vector is reusable
-            put_usize(buf, dict.len());
-            for s in dict.strings() {
-                put_str(buf, s);
-            }
-            put_usize(buf, codes.len());
-            for c in codes {
-                put_u32(buf, *c);
-            }
-        }
-        Column::Mixed(v) => {
-            put_u8(buf, COL_MIXED);
-            put_usize(buf, v.len());
-            for x in v {
-                put_value(buf, x);
-            }
-        }
-    }
-}
-
-pub(crate) fn read_column(r: &mut Reader<'_>) -> Result<Column> {
-    match r.u8()? {
-        COL_INT => {
-            let n = r.len(8)?;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(r.i64()?);
-            }
-            Ok(Column::Int(v))
-        }
-        COL_FLOAT => {
-            let n = r.len(8)?;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(r.f64()?);
-            }
-            Ok(Column::Float(v))
-        }
-        COL_BOOL => {
-            let n = r.len(1)?;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(r.bool()?);
-            }
-            Ok(Column::Bool(v))
-        }
-        COL_STR => {
-            let nstrings = r.len(8)?;
-            let mut dict = StrDict::default();
-            for _ in 0..nstrings {
-                dict.intern_owned(r.str()?);
-            }
-            if dict.len() != nstrings {
-                return Err(StoreError::Corrupt(format!(
-                    "string dictionary collapsed from {nstrings} to {} entries",
-                    dict.len()
-                )));
-            }
-            let ncodes = r.len(4)?;
-            let mut codes = Vec::with_capacity(ncodes);
-            for _ in 0..ncodes {
-                let c = r.u32()?;
-                if c as usize >= nstrings {
-                    return Err(StoreError::Corrupt(format!(
-                        "string code {c} out of range for dictionary of {nstrings}"
-                    )));
-                }
-                codes.push(c);
-            }
-            Ok(Column::Str {
-                codes,
-                dict: Arc::new(dict),
-            })
-        }
-        COL_MIXED => {
-            let n = r.len(1)?;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(read_value(r)?);
-            }
-            Ok(Column::Mixed(v))
-        }
-        other => Err(StoreError::Corrupt(format!("bad column tag {other}"))),
-    }
-}
-
-fn put_relation(buf: &mut Vec<u8>, rel: &Relation) {
-    put_usize(buf, rel.columns.len());
-    for (name, col) in rel.columns.iter().zip(rel.cols()) {
-        put_str(buf, name);
-        put_column(buf, col);
-    }
-}
-
-fn read_relation(r: &mut Reader<'_>) -> Result<Relation> {
-    let n = r.len(2)?;
-    let mut names = Vec::with_capacity(n);
-    let mut cols = Vec::with_capacity(n);
-    for _ in 0..n {
-        names.push(r.str()?);
-        cols.push(read_column(r)?);
-    }
-    Relation::from_columns(names, cols)
-        .map_err(|e| StoreError::Corrupt(format!("decoded relation is inconsistent: {e}")))
-}
 
 /// Encodes a full database: its schema followed by every relation instance
 /// in schema order.
@@ -733,72 +430,7 @@ pub(crate) fn read_batch(payload: &[u8]) -> Result<Vec<(String, Row)>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn round_trip_column(col: Column) -> Column {
-        let mut buf = Vec::new();
-        put_column(&mut buf, &col);
-        let mut r = Reader::new(&buf);
-        let out = read_column(&mut r).expect("decode");
-        assert!(r.is_at_end());
-        out
-    }
-
-    #[test]
-    fn float_columns_round_trip_bit_for_bit() {
-        let weird = vec![
-            0.0,
-            -0.0,
-            1.5,
-            f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::MIN_POSITIVE,
-        ];
-        let out = round_trip_column(Column::Float(weird.clone()));
-        let got = out.as_floats().expect("float column");
-        assert_eq!(got.len(), weird.len());
-        for (a, b) in weird.iter().zip(got) {
-            assert_eq!(a.to_bits(), b.to_bits(), "{a} != {b} bitwise");
-        }
-    }
-
-    #[test]
-    fn str_columns_preserve_codes_exactly() {
-        let mut dict = StrDict::default();
-        let codes: Vec<u32> = ["delhi", "tokyo", "delhi", "oslo", "tokyo"]
-            .iter()
-            .map(|s| dict.intern(s))
-            .collect();
-        let col = Column::Str {
-            codes: codes.clone(),
-            dict: Arc::new(dict),
-        };
-        let out = round_trip_column(col);
-        let (got_codes, got_dict) = out.as_str_codes().expect("str column");
-        assert_eq!(got_codes, codes.as_slice());
-        assert_eq!(got_dict.strings(), &["delhi", "tokyo", "oslo"]);
-    }
-
-    #[test]
-    fn mixed_and_scalar_columns_round_trip() {
-        let cols = vec![
-            Column::Int(vec![i64::MIN, -1, 0, 7, i64::MAX]),
-            Column::Bool(vec![true, false, true]),
-            Column::Mixed(vec![
-                Value::Null,
-                Value::Int(3),
-                Value::Double(f64::NAN),
-                Value::Str("x".into()),
-                Value::Bool(false),
-            ]),
-        ];
-        for col in cols {
-            let out = round_trip_column(col.clone());
-            // Value equality is NaN-blind; compare the debug form, which is
-            // not (NaN prints as NaN on both sides)
-            assert_eq!(format!("{out:?}"), format!("{col:?}"));
-        }
-    }
+    use beas_relal::Value;
 
     #[test]
     fn batches_round_trip() {
@@ -843,19 +475,5 @@ mod tests {
         let out = read_catalog_meta(&mut r).expect("decode");
         assert!(r.is_at_end());
         assert_eq!(out, meta);
-    }
-
-    #[test]
-    fn corrupt_payloads_are_rejected_not_panicked() {
-        let mut buf = Vec::new();
-        put_column(&mut buf, &Column::Int(vec![1, 2, 3]));
-        for cut in 0..buf.len() {
-            let mut r = Reader::new(&buf[..cut]);
-            assert!(read_column(&mut r).is_err(), "cut at {cut} accepted");
-        }
-        // a bogus length must not allocate terabytes before failing
-        let mut huge = vec![COL_INT];
-        huge.extend_from_slice(&u64::MAX.to_le_bytes());
-        assert!(read_column(&mut Reader::new(&huge)).is_err());
     }
 }

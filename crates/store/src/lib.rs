@@ -721,6 +721,85 @@ mod tests {
         buf
     }
 
+    /// The payload bytes of a fixed database and level, as `put_database` and
+    /// `put_level_parts` wrote them before the column codec moved into
+    /// `beas_relal::codec`. Segments on disk must keep decoding, so this
+    /// constant never changes.
+    const PINNED_PAYLOAD: &str = concat!(
+        "02000000000000000500000000000000686f74656c030000000000000002000000000000",
+        "006964000204000000000000006369747902030500000000000000707269636501000500",
+        "000000000000766973697402000000000000000500000000000000686f74656c00000400",
+        "0000000000006e6f7465020202000000000000000500000000000000686f74656c030000",
+        "000000000002000000000000006964000300000000000000010000000000000002000000",
+        "000000000300000000000000040000000000000063697479030200000000000000040000",
+        "00000000006f736c6f04000000000000006c696d61030000000000000000000000010000",
+        "000000000005000000000000007072696365010300000000000000000000000000008000",
+        "0000000000f87f0000000000000440050000000000000076697369740200000000000000",
+        "0500000000000000686f74656c0002000000000000000100000000000000030000000000",
+        "000004000000000000006e6f746504020000000000000002050000000000000071756965",
+        "740402000000000000000200000000000000000000000000e03f000000000000f07f0100",
+        "00000000000003020000000000000004000000000000006f736c6f04000000000000006c",
+        "696d61020000000000000000000000010000000200000000000000010000000000000000",
+        "000000010000000000000001000000020000000000000001020000000000000000000000",
+        "00000440000000000000f0ff020200000000000000010002000000000000000200000000",
+        "000000010000000000000001000000000000000200000000000000000000000000f43f00",
+        "00000000000000010000000000000002000000000000000100",
+    );
+
+    #[test]
+    fn segment_payload_bytes_are_pinned() {
+        let schema = DatabaseSchema::new(vec![
+            RelationSchema::new(
+                "hotel",
+                vec![
+                    Attribute::id("id"),
+                    Attribute::categorical("city"),
+                    Attribute::double("price"),
+                ],
+            ),
+            RelationSchema::new(
+                "visit",
+                vec![Attribute::int("hotel"), Attribute::text("note")],
+            ),
+        ]);
+        let mut db = Database::new(schema);
+        for (id, city, price) in [(1, "oslo", -0.0), (2, "lima", f64::NAN), (3, "oslo", 2.5)] {
+            db.insert_row(
+                "hotel",
+                vec![Value::Int(id), Value::from(city), Value::Double(price)],
+            )
+            .unwrap();
+        }
+        // a Null degrades `note` to a mixed column
+        for (hotel, note) in [(1, Value::from("quiet")), (3, Value::Null)] {
+            db.insert_row("visit", vec![Value::Int(hotel), note])
+                .unwrap();
+        }
+        let mut dict = beas_relal::StrDict::default();
+        let codes = vec![dict.intern("oslo"), dict.intern("lima")];
+        let parts = LevelParts {
+            n: 2,
+            resolution: vec![0.5, f64::INFINITY],
+            xcols: vec![beas_relal::Column::Str {
+                codes,
+                dict: Arc::new(dict),
+            }],
+            key_reps: vec![vec![0], vec![1]],
+            ycols: vec![
+                beas_relal::Column::Float(vec![2.5, f64::NEG_INFINITY]),
+                beas_relal::Column::Bool(vec![true, false]),
+            ],
+            counts: vec![2, 1],
+            sum_vals: vec![vec![1.25, 0.0]],
+            sum_some: vec![vec![true, false]],
+        };
+        let mut bytes = Vec::new();
+        codec::put_database(&mut bytes, &db);
+        codec::put_level_parts(&mut bytes, &parts);
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, PINNED_PAYLOAD);
+    }
+
     #[test]
     fn snapshot_round_trips_bit_for_bit() {
         let dir = test_dir("snapshot-roundtrip");

@@ -19,11 +19,12 @@
 //! segment or none — never a half-written one under the final name.
 
 use std::fs::{self, File, OpenOptions};
-use std::hash::Hasher;
 use std::io::Write;
 use std::path::Path;
 
-use beas_relal::FxHasher;
+/// FxHasher digest of a byte slice — the segment and WAL checksum, shared
+/// with the cluster's relation frames.
+pub(crate) use beas_relal::codec::checksum;
 
 use crate::{Result, StoreError};
 
@@ -74,13 +75,6 @@ impl SegmentKind {
             other => Err(StoreError::Corrupt(format!("unknown segment kind {other}"))),
         }
     }
-}
-
-/// FxHasher digest of a byte slice — the segment and WAL checksum.
-pub(crate) fn checksum(bytes: &[u8]) -> u64 {
-    let mut h = FxHasher::default();
-    h.write(bytes);
-    h.finish()
 }
 
 /// Flushes directory metadata so a just-renamed file survives a crash.
