@@ -26,10 +26,10 @@ use std::time::{Duration, Instant};
 
 use beas_access::{AtOptions, BudgetPolicy, Catalog};
 use beas_core::{
-    calibrated_min_shard_rows, compose_plan_answer_partial, evaluate_plan_leaf, node_keys,
-    AccuracyTarget, Beas, BeasAnswer, BeasQuery, BoundedPlan, ConstraintSpec, ExecOptions,
-    ExecState, ExecutionOutcome, LeafEval, LeafPlan, PlanFragments, Planner, RefinementSchedule,
-    ResourceSpec, TargetedAnswer,
+    compose_plan_answer_partial, evaluate_plan_leaf, node_keys, AccuracyTarget, Beas, BeasAnswer,
+    BeasQuery, BoundedPlan, ConstraintSpec, ExecOptions, ExecState, ExecutionOutcome, LeafEval,
+    LeafPlan, PlanFragments, Planner, RefinementSchedule, ResourceSpec, TargetedAnswer,
+    DEFAULT_MIN_SHARD_ROWS,
 };
 use beas_relal::{Database, DatabaseSchema};
 use beas_serve::{query_from_json, query_to_json, Json};
@@ -131,7 +131,7 @@ pub struct ClusterBuilder {
     shards: usize,
     constraints: Vec<ConstraintSpec>,
     threads: Option<usize>,
-    min_shard_rows: Option<usize>,
+    min_shard_rows: usize,
     policy: BudgetPolicy,
     options: AtOptions,
     retry: RetryPolicy,
@@ -146,7 +146,7 @@ impl ClusterBuilder {
             shards,
             constraints: Vec::new(),
             threads: None,
-            min_shard_rows: None,
+            min_shard_rows: DEFAULT_MIN_SHARD_ROWS,
             policy: BudgetPolicy::default(),
             options: AtOptions::default(),
             retry: RetryPolicy::default(),
@@ -174,10 +174,10 @@ impl ClusterBuilder {
         self
     }
 
-    /// Minimum sharded-atom size for parallel leaf evaluation (propagated to
-    /// every shard so all nodes evaluate identically).
+    /// Minimum sharded-atom size for parallel leaf evaluation (default
+    /// [`DEFAULT_MIN_SHARD_ROWS`]; every shard engine is built with it).
     pub fn min_shard_rows(mut self, rows: usize) -> Self {
-        self.min_shard_rows = Some(rows.max(1));
+        self.min_shard_rows = rows.max(1);
         self
     }
 
@@ -217,9 +217,6 @@ impl ClusterBuilder {
                 .map(|n| n.get())
                 .unwrap_or(1)
         });
-        let min_shard_rows = self
-            .min_shard_rows
-            .unwrap_or_else(calibrated_min_shard_rows);
 
         // offline C1, per shard: a full engine over the shard's partition,
         // with the constraints whose relations it owns (registration order
@@ -239,7 +236,7 @@ impl ClusterBuilder {
                 Beas::builder(sub)
                     .constraints(owned_specs)
                     .num_threads(threads)
-                    .min_shard_rows(min_shard_rows)
+                    .min_shard_rows(self.min_shard_rows)
                     .budget_policy(self.policy)
                     .at_options(self.options.clone())
                     .build()?,
@@ -319,7 +316,7 @@ impl ClusterBuilder {
             family_owner,
             partition_sizes,
             threads,
-            min_shard_rows,
+            min_shard_rows: self.min_shard_rows,
             metrics,
             retry: self.retry,
             degraded: self.degraded,
@@ -646,14 +643,7 @@ impl ClusterHandle {
         // the coordinator's plan (cross-checked by shape)
         let mut opens: Vec<Json> = Vec::with_capacity(shards);
         for (shard, seen) in last_seen.iter_mut().enumerate() {
-            let request = protocol::open_request(
-                session,
-                qjson,
-                plan.budget,
-                split.shares[shard],
-                self.threads,
-                self.min_shard_rows,
-            );
+            let request = protocol::open_request(session, qjson, plan.budget, split.shares[shard]);
             let decode = |response: &Json| {
                 Ok((
                     step_accounting_of(response)?,
@@ -1337,7 +1327,7 @@ mod tests {
         let owner = cluster.owner_of_family(plan.fetch.nodes[0].family).unwrap();
         let wrong = (owner + 1) % cluster.shards();
         let wrong_node = &cluster.nodes()[wrong];
-        let open = wrong_node.handle(&protocol::open_request(99, &qjson, budget, 10, 1, 2));
+        let open = wrong_node.handle(&protocol::open_request(99, &qjson, budget, 10));
         protocol::expect_ok(&open).unwrap();
         let fetch = wrong_node.handle(&protocol::fetch_request(99, plan.fetch.nodes[0].id, &[]));
         let err = protocol::expect_ok(&fetch).unwrap_err();

@@ -4,11 +4,12 @@
 //!
 //! Five operations, all request/response JSON objects tagged by `"op"`:
 //!
-//! * `open` — `{op, session, budget, share, threads, min_shard_rows, query}`:
-//!   the shard plans the query itself against its copy of the cluster
-//!   catalog (planning is deterministic, so no plan ever crosses the wire)
-//!   and answers `{ok, shard, tariff, nodes, leaves}` plus the accounting
-//!   block — the coordinator cross-checks the plan shape against its own.
+//! * `open` — `{op, session, budget, share, query}`: the shard plans the
+//!   query itself against its copy of the cluster catalog (planning is
+//!   deterministic, so no plan ever crosses the wire) and executes it with
+//!   its own engine's thread count and parallel-leaf threshold. It answers
+//!   `{ok, shard, tariff, nodes, leaves}` plus the accounting block — the
+//!   coordinator cross-checks the plan shape against its own.
 //! * `fetch` — `{op, session, node, keys}`: run one fetch node's lookup
 //!   against the shard's partition under its budget share; answers
 //!   `{ok, frame}` — the fragment as a [frame](relation_to_frame) — plus
@@ -55,21 +56,12 @@ use beas_serve::{value_from_json, value_to_json, Json};
 use crate::error::{ClusterError, Result};
 
 /// Builds an `open` request.
-pub fn open_request(
-    session: u64,
-    query: &Json,
-    budget: usize,
-    share: usize,
-    threads: usize,
-    min_shard_rows: usize,
-) -> Json {
+pub fn open_request(session: u64, query: &Json, budget: usize, share: usize) -> Json {
     Json::obj(vec![
         ("op", Json::Str("open".to_string())),
         ("session", Json::Int(session as i64)),
         ("budget", Json::Int(budget as i64)),
         ("share", Json::Int(share as i64)),
-        ("threads", Json::Int(threads as i64)),
-        ("min_shard_rows", Json::Int(min_shard_rows as i64)),
         ("query", query.clone()),
     ])
 }

@@ -181,8 +181,6 @@ impl ShardNode {
     fn op_open(&self, session: u64, request: &Json) -> Result<Json> {
         let budget = protocol::req_usize(request, "budget")?;
         let share = protocol::req_usize(request, "share")?;
-        let threads = protocol::req_usize(request, "threads")?.max(1);
-        let min_shard_rows = protocol::req_usize(request, "min_shard_rows")?.max(1);
         let query = query_from_json(protocol::req_field(request, "query")?, &self.catalog.schema)?;
         // the shard plans for itself: planning is deterministic over the
         // shared catalog, so this is the coordinator's plan without a plan
@@ -191,8 +189,8 @@ impl ShardNode {
         let (tariff, nodes, leaves) = (plan.tariff, plan.fetch.nodes.len(), plan.leaves.len());
         let fragments = PlanFragments::for_plan(&plan);
         let options = ExecOptions::budgeted(share)
-            .with_threads(threads)
-            .with_min_shard_rows(min_shard_rows);
+            .with_threads(self.engine.num_threads())
+            .with_min_shard_rows(self.engine.min_shard_rows());
         let mut sessions = self.sessions.lock().expect("sessions poisoned");
         // re-open = next refinement step (or an affinity-restoring retry):
         // keep the fragment/leaf state with its cumulative counters, swap

@@ -168,37 +168,15 @@ pub fn rc_accuracy(
     let exact = eval_query(&expr, db)?;
     let kinds = query.output_distances(schema)?;
 
-    match query {
-        BeasQuery::Ra(_) => rc_for_rows(approx, &exact, &kinds, query, db, cfg, None),
-        BeasQuery::Aggregate(agg) => {
-            if agg.agg.is_extremum() {
-                // min/max: distances inherit from the inner query (Sec. 3.2
-                // case (1)); the aggregate value is in the active domain so the
-                // plain row distance applies.
-                rc_for_rows(
-                    approx,
-                    &exact,
-                    &kinds,
-                    query,
-                    db,
-                    cfg,
-                    Some(agg.group_by.len()),
-                )
-            } else {
-                // sum/count/avg (Sec. 3.2 case (2)): relevance is judged on
-                // the group key only; coverage adds the aggregate-value gap.
-                rc_for_rows(
-                    approx,
-                    &exact,
-                    &kinds,
-                    query,
-                    db,
-                    cfg,
-                    Some(agg.group_by.len()),
-                )
-            }
-        }
-    }
+    // `rc_for_rows` applies the Sec. 3.2 aggregate cases; the output kinds
+    // already carry each case's unit: a min/max column inherits the
+    // aggregated column's distance (case (1)), a sum/count/avg column is
+    // numeric (case (2))
+    let group_cols = match query {
+        BeasQuery::Ra(_) => None,
+        BeasQuery::Aggregate(agg) => Some(agg.group_by.len()),
+    };
+    rc_for_rows(approx, &exact, &kinds, query, db, cfg, group_cols)
 }
 
 /// Shared relevance/coverage computation.

@@ -50,13 +50,12 @@ use beas_access::{
 };
 use beas_relal::{Database, DatabaseSchema, Relation, Row};
 use beas_slo::AccuracyTarget;
-use beas_store::{Calibration, Store, StoreOptions};
+use beas_store::{Store, StoreOptions};
 
 use crate::accuracy::{exact_answers, rc_accuracy, AccuracyConfig, RcReport};
 use crate::error::Result;
 use crate::executor::{
-    calibrated_min_shard_rows, execute_plan_with_options, execute_plan_with_state, ExecOptions,
-    ExecState, ExecutionOutcome,
+    execute_plan_with_state, ExecOptions, ExecState, ExecutionOutcome, DEFAULT_MIN_SHARD_ROWS,
 };
 use crate::planner::{BoundedPlan, Planner};
 use crate::prepared::PreparedQuery;
@@ -222,7 +221,7 @@ pub struct BeasBuilder {
     options: AtOptions,
     policy: BudgetPolicy,
     threads: Option<usize>,
-    min_shard_rows: Option<usize>,
+    min_shard_rows: usize,
     plan_cache_capacity: usize,
     persist: Option<(PathBuf, StoreOptions)>,
 }
@@ -238,7 +237,7 @@ impl BeasBuilder {
             options: AtOptions::default(),
             policy: BudgetPolicy::default(),
             threads: None,
-            min_shard_rows: None,
+            min_shard_rows: DEFAULT_MIN_SHARD_ROWS,
             plan_cache_capacity: crate::prepared::PLAN_CACHE_CAPACITY,
             persist: None,
         }
@@ -279,12 +278,12 @@ impl BeasBuilder {
         self
     }
 
-    /// Pins the smallest sharded-atom row count for which plan execution
-    /// engages parallel leaf evaluation, overriding the startup calibration
-    /// ([`calibrated_min_shard_rows`]) the builder performs otherwise.
-    /// Clamped to at least 1; never affects answers, only wall-clock.
+    /// Sets the smallest sharded-atom row count for which plan execution
+    /// engages parallel leaf evaluation (default [`DEFAULT_MIN_SHARD_ROWS`]).
+    /// Clamped to at least 1; never affects answers, only wall-clock. Not
+    /// persisted: [`Beas::open`] runs with the default.
     pub fn min_shard_rows(mut self, rows: usize) -> Self {
-        self.min_shard_rows = Some(rows.max(1));
+        self.min_shard_rows = rows.max(1);
         self
     }
 
@@ -359,14 +358,10 @@ impl BeasBuilder {
         }
         let schema = db.schema.clone();
         let catalog = Arc::new(catalog);
-        let min_shard_rows = self
-            .min_shard_rows
-            .unwrap_or_else(calibrated_min_shard_rows);
         let store = match self.persist {
             Some((dir, options)) => {
                 let store = Store::create(dir, options)?;
                 store.write_snapshot(&self.db, &catalog)?;
-                store.save_calibration(&current_calibration(min_shard_rows))?;
                 Some(Arc::new(store))
             }
             None => None,
@@ -379,21 +374,11 @@ impl BeasBuilder {
             writer: Mutex::new(()),
             schema,
             threads,
-            min_shard_rows,
+            min_shard_rows: self.min_shard_rows,
             plan_cache: crate::prepared::SharedPlanCache::new(self.plan_cache_capacity),
             stats: StatsCounters::default(),
             store,
         })
-    }
-}
-
-/// The calibration record describing *this* build on *this* machine — the
-/// staleness key a persisted record is compared against at [`Beas::open`].
-fn current_calibration(min_shard_rows: usize) -> Calibration {
-    Calibration {
-        min_shard_rows,
-        package_version: env!("CARGO_PKG_VERSION").to_string(),
-        parallelism: default_threads(),
     }
 }
 
@@ -451,7 +436,7 @@ pub struct EngineStats {
     /// Prepared-query plan-cache misses (budgets planned for the first time,
     /// or re-planned after maintenance invalidated the cache).
     pub plan_cache_misses: u64,
-    /// Storage: segment files written (snapshots, calibration records).
+    /// Storage: segment files written by snapshots.
     /// Zero on engines without an attached store.
     pub segments_written: u64,
     /// Storage: segment files read and verified (eager loads + page-ins).
@@ -505,8 +490,8 @@ pub struct Beas {
     /// building and validation need no snapshot.
     schema: DatabaseSchema,
     threads: usize,
-    /// Parallel-leaf threshold for sharded execution, resolved at build time
-    /// (startup calibration unless the builder pinned it).
+    /// Parallel-leaf threshold for sharded execution
+    /// ([`DEFAULT_MIN_SHARD_ROWS`] unless the builder set it).
     min_shard_rows: usize,
     /// The shared plan cache: one per engine, keyed on
     /// `(query fingerprint, budget)` and shared by every [`PreparedQuery`]
@@ -560,25 +545,6 @@ impl Beas {
     pub fn open_with(dir: impl AsRef<Path>, options: StoreOptions) -> Result<Beas> {
         let store = Store::open(dir.as_ref(), options)?;
         let (db, catalog) = store.load_snapshot()?;
-
-        // satellite calibration: reuse the persisted executor threshold only
-        // when it was measured by this build on this core count — otherwise
-        // re-calibrate and refresh the record
-        let current = current_calibration(0);
-        let min_shard_rows = match store.load_calibration()? {
-            Some(cal)
-                if cal.package_version == current.package_version
-                    && cal.parallelism == current.parallelism =>
-            {
-                cal.min_shard_rows
-            }
-            _ => {
-                let measured = calibrated_min_shard_rows();
-                store.save_calibration(&current_calibration(measured))?;
-                measured
-            }
-        };
-
         let schema = db.schema.clone();
         let engine = Beas {
             state: RwLock::new(EngineSnapshot {
@@ -588,7 +554,7 @@ impl Beas {
             writer: Mutex::new(()),
             schema,
             threads: default_threads(),
-            min_shard_rows,
+            min_shard_rows: DEFAULT_MIN_SHARD_ROWS,
             plan_cache: crate::prepared::SharedPlanCache::new(crate::prepared::PLAN_CACHE_CAPACITY),
             stats: StatsCounters::default(),
             store: Some(Arc::new(store)),
@@ -651,9 +617,9 @@ impl Beas {
         self.threads
     }
 
-    /// The parallel-leaf threshold sharded execution runs with: the startup
-    /// calibration's pick ([`calibrated_min_shard_rows`]) unless
-    /// [`BeasBuilder::min_shard_rows`] pinned a value.
+    /// The parallel-leaf threshold sharded execution runs with:
+    /// [`DEFAULT_MIN_SHARD_ROWS`] unless [`BeasBuilder::min_shard_rows`] set
+    /// another.
     pub fn min_shard_rows(&self) -> usize {
         self.min_shard_rows
     }
@@ -759,14 +725,8 @@ impl Beas {
         let mut state = ExecState::new();
         let mut escalations = 0usize;
         let answer = loop {
-            let outcome = execute_plan_with_state(
-                &plan,
-                catalog,
-                ExecOptions::budgeted(plan.budget.max(plan.tariff))
-                    .with_threads(self.threads)
-                    .with_min_shard_rows(self.min_shard_rows),
-                &mut state,
-            )?;
+            let outcome =
+                execute_plan_with_state(&plan, catalog, self.exec_options(&plan), &mut state)?;
             let answer = answer_from(&plan, outcome);
             if answer.eta >= target.eta || plan.budget >= max_budget {
                 break answer;
@@ -822,20 +782,33 @@ impl Beas {
         self.execute_on(plan, &snapshot)
     }
 
-    /// Executes a plan against an explicit snapshot with the engine's thread
-    /// count (the prepared-query path re-uses the snapshot it budgeted with).
+    /// Executes a plan against an explicit snapshot with the engine's
+    /// [`Beas::exec_options`] (the prepared-query path re-uses the snapshot
+    /// it budgeted with).
     pub(crate) fn execute_on(
         &self,
         plan: &BoundedPlan,
         snapshot: &EngineSnapshot,
     ) -> Result<ExecutionOutcome> {
-        execute_plan_with_options(
+        execute_plan_with_state(
             plan,
             &snapshot.catalog,
-            ExecOptions::budgeted(plan.budget.max(plan.tariff))
-                .with_threads(self.threads)
-                .with_min_shard_rows(self.min_shard_rows),
+            self.exec_options(plan),
+            &mut ExecState::new(),
         )
+    }
+
+    /// The options every engine answer path executes `plan` with: the
+    /// plan's budget, the engine's thread count and parallel-leaf threshold.
+    ///
+    /// When the budget is smaller than one tuple per relation atom (a
+    /// degenerate α), the plan of last resort may estimate slightly more
+    /// than the budget; its own tariff is enforced instead, so execution
+    /// still accesses the minimum the query needs.
+    pub(crate) fn exec_options(&self, plan: &BoundedPlan) -> ExecOptions {
+        ExecOptions::budgeted(plan.budget.max(plan.tariff))
+            .with_threads(self.threads)
+            .with_min_shard_rows(self.min_shard_rows)
     }
 
     /// The smallest resource ratio for which the query is answered exactly
@@ -1568,23 +1541,22 @@ mod tests {
     }
 
     #[test]
-    fn min_shard_rows_is_calibrated_and_overridable() {
-        let calibrated = Beas::builder(example_db(50))
+    fn min_shard_rows_defaults_to_the_constant_and_pins_and_clamps() {
+        let default = Beas::builder(example_db(50))
             .constraints(constraints())
             .build()
             .unwrap();
+        assert_eq!(default.min_shard_rows(), DEFAULT_MIN_SHARD_ROWS);
         assert_eq!(
-            calibrated.min_shard_rows(),
-            crate::executor::calibrated_min_shard_rows(),
-            "builder default must be the startup calibration"
+            ExecOptions::default().min_shard_rows,
+            DEFAULT_MIN_SHARD_ROWS
         );
-        assert!(calibrated.min_shard_rows() >= 16);
         let pinned = Beas::builder(example_db(50))
             .constraints(constraints())
-            .min_shard_rows(128)
+            .min_shard_rows(2)
             .build()
             .unwrap();
-        assert_eq!(pinned.min_shard_rows(), 128);
+        assert_eq!(pinned.min_shard_rows(), 2);
         // zero is clamped
         let clamped = Beas::builder(example_db(50))
             .constraints(constraints())
@@ -1595,8 +1567,9 @@ mod tests {
         // the threshold never affects answers
         let q = hotels_in(&pinned.database(), "NYC", 200);
         let a = pinned.answer(&q, ResourceSpec::FULL).unwrap();
-        let b = calibrated.answer(&q, ResourceSpec::FULL).unwrap();
+        let b = default.answer(&q, ResourceSpec::FULL).unwrap();
         assert_eq!(a.answers, b.answers);
+        assert_eq!(a.answers.digest(), b.answers.digest());
     }
 
     #[test]
@@ -1826,37 +1799,39 @@ mod tests {
     }
 
     #[test]
-    fn calibration_survives_restart_and_stale_records_recalibrate() {
-        let dir = store_dir("calibration");
+    fn store_with_a_parent_era_threshold_segment_opens_at_the_default() {
+        use beas_relal::codec;
+
+        let dir = store_dir("parent-era-threshold");
         let built = Beas::builder(example_db(50))
             .constraints(constraints())
-            .min_shard_rows(12345)
+            .min_shard_rows(2)
             .persist_to(&dir)
             .build()
             .unwrap();
+        let before = answer_digests(&built);
         drop(built);
 
-        // fresh record from this build on this machine: reused verbatim
+        // the record older builds persisted: a threshold measured by this
+        // package version on this core count, in a kind-4 envelope
+        let mut payload = Vec::new();
+        codec::put_usize(&mut payload, 777);
+        codec::put_str(&mut payload, env!("CARGO_PKG_VERSION"));
+        codec::put_usize(&mut payload, default_threads());
+        let mut bytes = b"BEASSEG\x01".to_vec();
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&4u32.to_le_bytes());
+        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&codec::checksum(&payload).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        let record = dir.join("calibration.seg");
+        std::fs::write(&record, &bytes).unwrap();
+
+        // neither the record nor the builder's pin survives a restart
         let reopened = Beas::open(&dir).unwrap();
-        assert_eq!(reopened.min_shard_rows(), 12345);
-        let store = Arc::clone(reopened.store().unwrap());
-        // stale record (other core count): fall back to re-calibration and
-        // refresh the persisted record
-        store
-            .save_calibration(&beas_store::Calibration {
-                min_shard_rows: 777,
-                package_version: env!("CARGO_PKG_VERSION").to_string(),
-                parallelism: default_threads() + 1,
-            })
-            .unwrap();
-        drop(reopened);
-        let recalibrated = Beas::open(&dir).unwrap();
-        assert_ne!(recalibrated.min_shard_rows(), 777);
-        let refreshed = recalibrated.store().unwrap().load_calibration().unwrap();
-        assert_eq!(
-            refreshed.unwrap().min_shard_rows,
-            recalibrated.min_shard_rows()
-        );
+        assert_eq!(reopened.min_shard_rows(), DEFAULT_MIN_SHARD_ROWS);
+        assert_eq!(answer_digests(&reopened), before);
+        assert_eq!(std::fs::read(&record).unwrap(), bytes);
     }
 
     #[test]

@@ -12,9 +12,11 @@
 //!
 //! Fetching stays sequential (budget enforcement is a serial accounting
 //! decision), but the evaluation plan `ξ_E` is embarrassingly parallel: with
-//! [`ExecOptions::threads`] > 1, each SPC leaf partitions its largest fetched
-//! atom relation into per-core row shards, evaluates the leaf expression per
-//! shard on `std::thread::scope` threads, and merges the shard outputs.
+//! [`ExecOptions::threads`] > 1, each SPC leaf whose largest fetched atom
+//! relation holds at least [`ExecOptions::min_shard_rows`] rows
+//! ([`DEFAULT_MIN_SHARD_ROWS`] unless lowered) partitions it into row
+//! shards, evaluates the leaf expression per shard on `std::thread::scope`
+//! threads, and merges the shard outputs.
 //! Sharding one atom partitions the set of atom-row combinations exactly, so
 //! the merged result is the same (multi)set the sequential evaluation
 //! produces; leaf results are then canonicalised (sorted / deduplicated)
@@ -41,10 +43,11 @@
 //!   between budgets skips relaxation, join and canonicalisation entirely.
 //!
 //! Because a state hit returns exactly what a fresh fetch/evaluation would
-//! return, [`execute_plan_with_state`] is **bit-for-bit identical** to
-//! [`execute_plan_with_options`] — answers, η, float aggregate sums and the
-//! `accessed` accounting; only wall-clock differs. This is the foundation of
-//! the [`AnswerSession`](crate::AnswerSession) refinement loop.
+//! return, [`execute_plan_with_state`] over a carried-over state is
+//! **bit-for-bit identical** to the same call over a fresh one — answers, η,
+//! float aggregate sums and the `accessed` accounting; only wall-clock
+//! differs. This is the foundation of the
+//! [`AnswerSession`](crate::AnswerSession) refinement loop.
 //!
 //! # Fragment streams
 //!
@@ -70,10 +73,10 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use beas_access::{Catalog, FetchSession, ResourceSpec, WEIGHT_COLUMN};
+use beas_access::{Catalog, FetchSession, WEIGHT_COLUMN};
 use beas_relal::{
-    aggregate_relation, eval_bag, eval_set, Column, CompareOp, GroupByQuery, Predicate,
-    PredicateAtom, RaExpr, Relation, SelCond, SpcQuery, Value,
+    aggregate_relation, eval_bag, eval_set, CompareOp, GroupByQuery, Predicate, PredicateAtom,
+    RaExpr, Relation, SelCond, SpcQuery, Value,
 };
 
 use crate::error::{BeasError, Result};
@@ -95,74 +98,20 @@ pub struct ExecutionOutcome {
     pub fetches: usize,
 }
 
-/// Default for [`ExecOptions::min_shard_rows`]: the smallest sharded-atom row
-/// count for which parallel leaf evaluation is engaged. Below it, thread
-/// spawn overhead dominates the evaluation work on typical hardware; override
-/// it per execution (e.g. from a startup calibration) via
-/// [`ExecOptions::with_min_shard_rows`].
-pub const DEFAULT_MIN_SHARD_ROWS: usize = 64;
-
-/// The startup-calibrated value for [`ExecOptions::min_shard_rows`]: the
-/// sharded-atom row count at which the measured per-row leaf-evaluation work
-/// amortizes the measured cost of spawning and joining scoped worker threads.
+/// The smallest sharded-atom row count for which parallel leaf evaluation
+/// is engaged, unless lowered: the default of [`ExecOptions`], of every
+/// engine (built or reopened) and of every cluster.
 ///
-/// Measured once per process (a few hundred microseconds) on first use —
-/// `BeasBuilder::build` reads it unless the builder pinned an explicit
-/// threshold. The threshold only gates when parallelism engages; answers are
-/// bit-for-bit identical for every value, so a noisy calibration can cost
-/// wall-clock but never correctness.
-pub fn calibrated_min_shard_rows() -> usize {
-    use std::sync::OnceLock;
-    static CALIBRATED: OnceLock<usize> = OnceLock::new();
-    *CALIBRATED.get_or_init(measure_min_shard_rows)
-}
-
-/// One spawn/steal + per-row work measurement (see
-/// [`calibrated_min_shard_rows`]).
-fn measure_min_shard_rows() -> usize {
-    use std::time::Instant;
-
-    // cost of engaging parallelism: spawn + join one scoped worker
-    const SPAWN_ITERS: usize = 16;
-    let start = Instant::now();
-    for _ in 0..SPAWN_ITERS {
-        std::thread::scope(|s| {
-            s.spawn(|| std::hint::black_box(0u64));
-        });
-    }
-    let spawn_s = start.elapsed().as_secs_f64() / SPAWN_ITERS as f64;
-
-    // representative per-row leaf work: the fused chunked-mask predicate
-    // selection over a typed column followed by a per-column gather (see
-    // `beas_relal::kernel`) — the exact columnar scan path the shards run.
-    // Recalibrated at startup so the threshold tracks the kernel cost of
-    // this binary on this machine, not a hard-coded scalar-loop estimate.
-    const ROWS: usize = 8 * 1024;
-    const EVAL_ITERS: usize = 8;
-    let rel = Relation::from_columns(
-        vec!["v".to_string()],
-        vec![Column::Int(
-            (0..ROWS as i64).map(|i| (i * 37) % 1024).collect(),
-        )],
-    )
-    .expect("single aligned column");
-    let pred = Predicate::all(vec![PredicateAtom::col_cmp_const(
-        "v",
-        CompareOp::Lt,
-        512i64,
-    )]);
-    let start = Instant::now();
-    for _ in 0..EVAL_ITERS {
-        let filtered = pred.filter(&rel).expect("column resolves");
-        std::hint::black_box(filtered.len());
-    }
-    let per_row_s = start.elapsed().as_secs_f64() / (EVAL_ITERS * ROWS) as f64;
-
-    // engage threads once a shard's work amortizes ~4 spawns; clamp away
-    // both degenerate timer readings and pathological calibrations
-    let rows = (4.0 * spawn_s / per_row_s.max(1e-12)).ceil() as usize;
-    rows.clamp(16, 16 * 1024)
-}
+/// Why 16 384: a row shard is worth its thread once its scan work covers
+/// about four spawn-and-join costs of a scoped worker. Measured on an idle
+/// 2-core machine that point lies at 36 000–67 000 rows, and under load it
+/// fell to about 9 300; 16 384 sits between the two. A bounded plan's atom
+/// relations never hold more rows than its budget, so only budgets past
+/// this size shard at all. The threshold gates wall-clock only: answers are
+/// bit-for-bit identical for every value, and
+/// [`ExecOptions::with_min_shard_rows`] lowers it where a test needs the
+/// sharded path.
+pub const DEFAULT_MIN_SHARD_ROWS: usize = 16 * 1024;
 
 /// Execution knobs: the enforced budget and the shard parallelism.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -784,66 +733,7 @@ fn remap_indexed(node: &IndexedRa, remap: &[usize]) -> IndexedRa {
     }
 }
 
-/// Executes `plan` against `catalog`, enforcing the plan's budget.
-///
-/// When the budget is smaller than one tuple per relation atom (a degenerate
-/// α), the plan of last resort may estimate slightly more than the budget; in
-/// that case its own tariff is enforced instead, so execution still accesses
-/// the minimum the query needs.
-pub fn execute_plan(plan: &BoundedPlan, catalog: &Catalog) -> Result<ExecutionOutcome> {
-    execute_plan_with_options(
-        plan,
-        catalog,
-        ExecOptions::budgeted(plan.budget.max(plan.tariff)),
-    )
-}
-
-/// Executes `plan` under the budget a [`ResourceSpec`] resolves to for the
-/// catalog — e.g. re-running a cached plan under a different (larger) spec
-/// than it was generated for.
-pub fn execute_plan_with_spec(
-    plan: &BoundedPlan,
-    catalog: &Catalog,
-    spec: ResourceSpec,
-) -> Result<ExecutionOutcome> {
-    let budget = catalog.budget(&spec)?;
-    execute_plan_with_options(
-        plan,
-        catalog,
-        ExecOptions::budgeted(budget.max(plan.tariff)),
-    )
-}
-
-/// Executes `plan` with an explicit budget (`None` disables enforcement; used
-/// by tests and by the exact-answer path).
-pub fn execute_plan_with_budget(
-    plan: &BoundedPlan,
-    catalog: &Catalog,
-    budget: Option<usize>,
-) -> Result<ExecutionOutcome> {
-    execute_plan_with_options(
-        plan,
-        catalog,
-        ExecOptions {
-            budget,
-            ..ExecOptions::default()
-        },
-    )
-}
-
-/// Executes `plan` with explicit [`ExecOptions`] (budget enforcement and
-/// shard parallelism). This is the path the engine drives with its configured
-/// thread count. Equivalent to [`execute_plan_with_state`] over a throwaway
-/// fresh [`ExecState`].
-pub fn execute_plan_with_options(
-    plan: &BoundedPlan,
-    catalog: &Catalog,
-    options: ExecOptions,
-) -> Result<ExecutionOutcome> {
-    execute_plan_with_state(plan, catalog, options, &mut ExecState::new())
-}
-
-/// Executes `plan` like [`execute_plan_with_options`], threading a resumable
+/// Executes `plan` against `catalog` under `options`, threading a resumable
 /// [`ExecState`] through the fetch and leaf-evaluation phases: fragments and
 /// leaf results already in the state are reused (and billed against the
 /// budget exactly like fresh fetches), new ones are recorded into it for the
@@ -853,7 +743,7 @@ pub fn execute_plan_with_options(
 /// the same catalog snapshot** (an [`AnswerSession`](crate::AnswerSession)
 /// guarantees this); under that contract the outcome — answers, η, float
 /// aggregate sums and the `accessed` accounting — is bit-for-bit identical to
-/// a fresh execution.
+/// a fresh execution. A one-shot execution passes [`ExecState::new`].
 pub fn execute_plan_with_state(
     plan: &BoundedPlan,
     catalog: &Catalog,

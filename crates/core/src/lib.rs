@@ -20,8 +20,9 @@
 //! * [`ResourceSpec`] (re-exported from `beas-access`) — the typed budget
 //!   vocabulary used by engine, planner and baselines alike;
 //! * [`Planner`] — the approximation scheme `Γ_A` (chase + `chAT`);
-//! * [`execute_plan`] — runs a bounded plan under a budget-enforcing fetch
-//!   session;
+//! * [`execute_plan_with_state`] — runs a bounded plan under a
+//!   budget-enforcing fetch session (the engine's answer paths call it with
+//!   [`ExecOptions`] from the engine's settings);
 //! * [`accuracy`] — the RC measure, MAC and F-measure used in the evaluation.
 //!
 //! ```
@@ -89,17 +90,16 @@ pub use accuracy::{
 };
 pub use beas_access::{BudgetPolicy, ResourceSpec};
 pub use beas_slo::{AccuracyTarget, CurveStore};
-pub use beas_store::{Calibration, Store, StoreOptions, StoreStatsSnapshot};
+pub use beas_store::{Store, StoreOptions, StoreStatsSnapshot};
 pub use engine::{
     Beas, BeasAnswer, BeasBuilder, ConstraintSpec, EngineSnapshot, EngineStats, ServeHandle,
     TargetedAnswer, UpdateBatch,
 };
 pub use error::{BeasError, Result};
 pub use executor::{
-    calibrated_min_shard_rows, compose_plan_answer, compose_plan_answer_partial,
-    evaluate_plan_leaf, execute_plan, execute_plan_with_budget, execute_plan_with_options,
-    execute_plan_with_spec, execute_plan_with_state, node_keys, stream_plan_fragments, ExecOptions,
-    ExecState, ExecutionOutcome, LeafEval, PlanFragments, DEFAULT_MIN_SHARD_ROWS,
+    compose_plan_answer, compose_plan_answer_partial, evaluate_plan_leaf, execute_plan_with_state,
+    node_keys, stream_plan_fragments, ExecOptions, ExecState, ExecutionOutcome, LeafEval,
+    PlanFragments, DEFAULT_MIN_SHARD_ROWS,
 };
 pub use fingerprint::QueryFingerprint;
 pub use plan::{FetchNode, FetchPlan, KeySource, LeafPlan};

@@ -311,19 +311,29 @@ impl BeasQuery {
         match self {
             BeasQuery::Ra(q) => q.output_distances(schema),
             BeasQuery::Aggregate(a) => {
-                // group-by columns inherit their distance from the inner query;
-                // the aggregate column is numeric.
+                // group-by columns inherit their distance from the inner
+                // query, and so does a min/max column: its value is one of the
+                // aggregated column's, and the planner bounds its error in that
+                // column's unit (Corollary 7). sum/count/avg are numeric.
                 let inner_cols = a.input.output_columns();
                 let inner_dists = a.input.output_distances(schema)?;
-                let mut out = Vec::new();
-                for g in &a.group_by {
-                    let idx = inner_cols
+                let inner_kind = |col: &String| {
+                    inner_cols
                         .iter()
-                        .position(|c| c == g)
-                        .ok_or_else(|| RelalError::UnknownColumn(g.clone()))?;
-                    out.push(inner_dists[idx]);
-                }
-                out.push(DistanceKind::Numeric);
+                        .position(|c| c == col)
+                        .map(|idx| inner_dists[idx])
+                        .ok_or_else(|| RelalError::UnknownColumn(col.clone()).into())
+                };
+                let mut out = a
+                    .group_by
+                    .iter()
+                    .map(inner_kind)
+                    .collect::<Result<Vec<_>>>()?;
+                out.push(if a.agg.is_extremum() {
+                    inner_kind(&a.agg_col)?
+                } else {
+                    DistanceKind::Numeric
+                });
                 Ok(out)
             }
         }

@@ -42,7 +42,7 @@ use beas_slo::AccuracyTarget;
 
 use crate::engine::{answer_from, BeasAnswer, EngineSnapshot};
 use crate::error::{BeasError, Result};
-use crate::executor::{execute_plan_with_state, ExecOptions, ExecState};
+use crate::executor::{execute_plan_with_state, ExecState};
 use crate::planner::Planner;
 use crate::prepared::PreparedQuery;
 use crate::query::BeasQuery;
@@ -337,9 +337,7 @@ impl<'p, 'e> AnswerSession<'p, 'e> {
         let outcome = execute_plan_with_state(
             &plan,
             self.snapshot.catalog(),
-            ExecOptions::budgeted(plan.budget.max(plan.tariff))
-                .with_threads(engine.num_threads())
-                .with_min_shard_rows(engine.min_shard_rows()),
+            engine.exec_options(&plan),
             &mut self.state,
         )?;
         // stats bill the tuples actually fetched this step (reuse is free),

@@ -454,17 +454,21 @@ fn rejection_reply(
         Rejection::TooExpensive { cost, burst } => Reply::error(
             400,
             &format!(
-                "{what} cost of {cost:.0} budget tuples exceeds tenant                  `{tenant_name}`'s burst capacity of {burst:.0}; lower the                  {what}'s budget or raise the tenant's burst",
+                "{what} cost of {cost:.0} budget tuples exceeds tenant \
+                 `{tenant_name}`'s burst capacity of {burst:.0}; lower the \
+                 {what}'s budget or raise the tenant's burst",
             ),
         ),
         Rejection::OverBudget { .. } | Rejection::Busy { .. } => {
             let message = match rejection {
                 Rejection::OverBudget { .. } => format!(
-                    "tenant `{tenant_name}` is over its tuple budget ({what}                      cost not covered); retry after {}s",
+                    "tenant `{tenant_name}` is over its tuple budget ({what} \
+                     cost not covered); retry after {}s",
                     rejection.retry_after_secs()
                 ),
                 _ => format!(
-                    "tenant `{tenant_name}` has too many requests in flight;                      retry after {}s",
+                    "tenant `{tenant_name}` has too many requests in flight; \
+                     retry after {}s",
                     rejection.retry_after_secs()
                 ),
             };

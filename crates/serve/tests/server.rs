@@ -683,6 +683,7 @@ fn overlarge_request_cost_is_a_nonretryable_400() {
         "{}",
         response.body
     );
+    assert!(!response.body.contains("  "), "{}", response.body);
     // a request within the burst still works
     let ok = c
         .post(
@@ -852,6 +853,8 @@ fn streamed_query_rejects_bad_schedules_and_is_admission_controlled() {
         let r = c.post("/query/stream", &body).unwrap();
         if r.status == 429 {
             assert!(r.header("retry-after").is_some());
+            assert!(r.body.contains("retry after"), "{}", r.body);
+            assert!(!r.body.contains("  "), "{}", r.body);
             saw_429 = true;
             break;
         }

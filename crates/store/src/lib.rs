@@ -17,7 +17,6 @@
 //!     catalog.seg       catalog metadata + per-family level headers
 //!     f<F>-l<K>.seg     column payload of level K of family F
 //!   wal-<g>.log         apply_update batches since snapshot g
-//!   calibration.seg     persisted executor calibration (optional)
 //! ```
 //!
 //! Recovery is *snapshot + WAL tail*: [`Store::open`] reads the manifest,
@@ -152,7 +151,7 @@ struct StoreStats {
 /// A point-in-time copy of a store's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StoreStatsSnapshot {
-    /// Segment files written (snapshots and calibration records).
+    /// Segment files written by snapshots.
     pub segments_written: u64,
     /// Segment files read and verified (eager loads plus page-ins).
     pub segments_loaded: u64,
@@ -177,24 +176,6 @@ impl StoreStats {
             page_ins: self.page_ins.load(Ordering::Relaxed),
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// calibration
-// ---------------------------------------------------------------------------
-
-/// A persisted executor calibration: the measured `min_shard_rows`
-/// threshold together with the environment it was measured in. Consumers
-/// treat a record from a different package version or core count as stale
-/// and fall back to re-calibrating.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Calibration {
-    /// The calibrated minimum rows-per-shard threshold.
-    pub min_shard_rows: usize,
-    /// `CARGO_PKG_VERSION` of the crate that measured it.
-    pub package_version: String,
-    /// `std::thread::available_parallelism()` at measurement time.
-    pub parallelism: usize,
 }
 
 // ---------------------------------------------------------------------------
@@ -226,7 +207,6 @@ pub struct Store {
 
 const MANIFEST: &str = "MANIFEST";
 const MANIFEST_HEADER: &str = "beas-store v1";
-const CALIBRATION_FILE: &str = "calibration.seg";
 
 fn snap_dir(dir: &Path, generation: u64) -> PathBuf {
     dir.join(format!("snap-{generation}"))
@@ -548,45 +528,6 @@ impl Store {
         state.wal.is_some()
             && (state.wal_bytes >= self.options.compact_wal_bytes
                 || state.wal_batches >= self.options.compact_wal_batches)
-    }
-
-    /// Persists an executor calibration record next to the snapshots.
-    pub fn save_calibration(&self, cal: &Calibration) -> Result<()> {
-        let mut buf = Vec::new();
-        codec::put_usize(&mut buf, cal.min_shard_rows);
-        codec::put_str(&mut buf, &cal.package_version);
-        codec::put_usize(&mut buf, cal.parallelism);
-        segment::write_segment(
-            &self.dir.join(CALIBRATION_FILE),
-            SegmentKind::Calibration,
-            &buf,
-        )?;
-        self.stats.segments_written.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Loads the persisted calibration record, `None` when absent. A
-    /// *corrupt* record is also `None` — calibration is a cache, the caller
-    /// falls back to measuring.
-    pub fn load_calibration(&self) -> Result<Option<Calibration>> {
-        let path = self.dir.join(CALIBRATION_FILE);
-        if !path.is_file() {
-            return Ok(None);
-        }
-        let payload = match segment::read_segment(&path, SegmentKind::Calibration) {
-            Ok(p) => p,
-            Err(StoreError::Io(e)) => return Err(StoreError::Io(e)),
-            Err(_) => return Ok(None),
-        };
-        let mut r = Reader::new(&payload);
-        let cal = (|| -> Result<Calibration> {
-            Ok(Calibration {
-                min_shard_rows: r.usize()?,
-                package_version: r.str()?,
-                parallelism: r.usize()?,
-            })
-        })();
-        Ok(cal.ok())
     }
 }
 
@@ -947,61 +888,53 @@ mod tests {
     }
 
     #[test]
-    fn calibration_round_trips_and_corruption_falls_back() {
-        let dir = test_dir("calibration");
-        let store = Store::create(&dir, StoreOptions::default()).unwrap();
-        assert_eq!(store.load_calibration().unwrap(), None);
-        let cal = Calibration {
-            min_shard_rows: 8192,
-            package_version: "0.2.0".to_string(),
-            parallelism: 8,
-        };
-        store.save_calibration(&cal).unwrap();
-        assert_eq!(store.load_calibration().unwrap(), Some(cal));
-
-        // corrupt record: calibration is a cache, reads fall back to None
-        let path = dir.join(CALIBRATION_FILE);
-        let mut bytes = fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01;
-        fs::write(&path, &bytes).unwrap();
-        assert_eq!(store.load_calibration().unwrap(), None);
-    }
-
-    #[test]
     fn store_with_a_parent_era_slo_segment_opens_bit_for_bit() {
-        let dir = test_dir("parent-era-slo");
-        let db = sample_db();
-        let catalog = sample_catalog(&db);
-        let store = Store::create(&dir, StoreOptions::default()).unwrap();
-        store.write_snapshot(&db, &catalog).unwrap();
-        drop(store);
+        // the segments older stores carry, by file name, retired kind tag
+        // and payload: the learned curves (an `SLO1` payload with no
+        // curves) and the executor's parallel-leaf threshold record
+        // (threshold, package version, core count)
+        let mut slo = b"SLO1".to_vec();
+        slo.extend_from_slice(&[0u8; 6 * 8]);
+        let mut threshold = Vec::new();
+        codec::put_usize(&mut threshold, 16 * 1024);
+        codec::put_str(&mut threshold, "0.2.0");
+        codec::put_usize(&mut threshold, 2);
 
-        // the learned-curve segment older stores carry: an `SLO1` payload
-        // with no curves in a kind-5 envelope
-        let mut payload = b"SLO1".to_vec();
-        payload.extend_from_slice(&[0u8; 6 * 8]);
-        let mut bytes = segment::MAGIC.to_vec();
-        bytes.extend_from_slice(&segment::VERSION.to_le_bytes());
-        bytes.extend_from_slice(&5u32.to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&segment::checksum(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        let slo = dir.join("slo.seg");
-        fs::write(&slo, &bytes).unwrap();
+        for (file, kind, payload) in [("slo.seg", 5u32, slo), ("calibration.seg", 4, threshold)] {
+            let dir = test_dir(&format!("parent-era-{file}"));
+            let db = sample_db();
+            let catalog = sample_catalog(&db);
+            let store = Store::create(&dir, StoreOptions::default()).unwrap();
+            store.write_snapshot(&db, &catalog).unwrap();
+            drop(store);
 
-        let reopened = Store::open(&dir, StoreOptions::default()).unwrap();
-        let (db2, catalog2) = reopened.load_snapshot().unwrap();
-        assert_eq!(db_fingerprint(&db2), db_fingerprint(&db));
-        assert_eq!(
-            catalog_fingerprint(&catalog2),
-            catalog_fingerprint(&catalog)
-        );
-        assert_eq!(catalog2.version, catalog.version);
-        // the file is left alone, and tag 5 names no kind of today's
-        assert_eq!(fs::read(&slo).unwrap(), bytes);
-        let err = segment::read_segment(&slo, SegmentKind::Calibration).unwrap_err();
-        assert!(err.to_string().contains("unknown segment kind 5"), "{err}");
+            let mut bytes = segment::MAGIC.to_vec();
+            bytes.extend_from_slice(&segment::VERSION.to_le_bytes());
+            bytes.extend_from_slice(&kind.to_le_bytes());
+            bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            bytes.extend_from_slice(&segment::checksum(&payload).to_le_bytes());
+            bytes.extend_from_slice(&payload);
+            let path = dir.join(file);
+            fs::write(&path, &bytes).unwrap();
+
+            let reopened = Store::open(&dir, StoreOptions::default()).unwrap();
+            let (db2, catalog2) = reopened.load_snapshot().unwrap();
+            assert_eq!(db_fingerprint(&db2), db_fingerprint(&db), "{file}");
+            assert_eq!(
+                catalog_fingerprint(&catalog2),
+                catalog_fingerprint(&catalog),
+                "{file}"
+            );
+            assert_eq!(catalog2.version, catalog.version, "{file}");
+            // the file is left alone, and its tag names no kind of today's
+            assert_eq!(fs::read(&path).unwrap(), bytes, "{file}");
+            let err = segment::read_segment(&path, SegmentKind::Level).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains(&format!("unknown segment kind {kind}")),
+                "{file}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The on-disk segment envelope.
 //!
-//! Every file the store writes (snapshot segments, the calibration record)
-//! is wrapped in the same self-describing envelope:
+//! Every segment file the store writes (database, catalog and level
+//! segments of a snapshot) is wrapped in the same self-describing envelope:
 //!
 //! ```text
 //! magic    8 bytes   b"BEASSEG\x01"
@@ -40,10 +40,11 @@ pub(crate) const HEADER_LEN: usize = 8 + 4 + 4 + 8 + 8;
 /// What a segment payload encodes. The kind is part of the envelope so that
 /// a mis-routed file (say a level segment read as a catalog) fails loudly.
 ///
-/// Tag 5 belonged to the learned accuracy-SLO curves (`slo.seg`), which are
-/// no longer written or read; it is never reused, so a store directory from
-/// before their removal still opens, and its `slo.seg` reads as an unknown
-/// kind rather than as something else.
+/// Tags 4 and 5 are retired and never reused: 4 belonged to the executor
+/// calibration record (`calibration.seg`), 5 to the learned accuracy-SLO
+/// curves (`slo.seg`). Neither file is written or read any more, so a store
+/// directory from before their removal still opens, and either file reads
+/// as an unknown kind rather than as something else.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SegmentKind {
     /// A full [`beas_relal::Database`]: schema plus every relation instance.
@@ -52,8 +53,6 @@ pub(crate) enum SegmentKind {
     Catalog,
     /// One level's column payload ([`beas_access::LevelParts`]).
     Level,
-    /// The persisted calibration record.
-    Calibration,
 }
 
 impl SegmentKind {
@@ -62,7 +61,6 @@ impl SegmentKind {
             SegmentKind::Database => 1,
             SegmentKind::Catalog => 2,
             SegmentKind::Level => 3,
-            SegmentKind::Calibration => 4,
         }
     }
 
@@ -71,7 +69,6 @@ impl SegmentKind {
             1 => Ok(SegmentKind::Database),
             2 => Ok(SegmentKind::Catalog),
             3 => Ok(SegmentKind::Level),
-            4 => Ok(SegmentKind::Calibration),
             other => Err(StoreError::Corrupt(format!("unknown segment kind {other}"))),
         }
     }

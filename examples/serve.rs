@@ -46,7 +46,7 @@ fn main() {
     // ---- the engine (offline C1) and the expected answer digest
     let demo = demo_engine(rows);
     println!(
-        "engine: |D| = {} tuples, {} families, min_shard_rows = {} (calibrated)",
+        "engine: |D| = {} tuples, {} families, min_shard_rows = {}",
         demo.engine.database().total_tuples(),
         demo.engine.catalog().len(),
         demo.engine.min_shard_rows(),

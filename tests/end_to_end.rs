@@ -40,7 +40,7 @@ fn bounded_answers_respect_budget_and_eta_across_the_workload() {
             };
             // when the budget is below one tuple per relation atom, the plan
             // of last resort may estimate slightly more and its own tariff is
-            // enforced instead (see `execute_plan`); the bound is the max
+            // enforced instead (see `Beas::exec_options`); the bound is the max
             assert!(
                 answer.accessed <= budget.max(answer.planned_tariff),
                 "accessed {} tuples with budget {budget} (tariff {})",
@@ -293,4 +293,43 @@ fn exact_ratio_shrinks_relative_to_growing_data() {
         large <= small + 1e-9,
         "alpha_exact should not grow with |D|: small = {small}, large = {large}"
     );
+}
+
+/// A min/max answer is scored in the aggregated attribute's own unit, the
+/// unit its η is planned in (Corollary 7). The query is the TPCH-pool `max`
+/// (`tests/planner_reference.rs`: seed 1, query 7) that measured 0.0002
+/// against a planned η of 0.4545 while its column was scored as a raw gap.
+#[test]
+fn extremum_aggregates_measure_at_least_their_planned_eta() {
+    let source = tpch_lite(1, 42);
+    let cfg = QueryGenConfig {
+        count: 12,
+        seed: 0xBEA5_0001,
+        ..QueryGenConfig::default()
+    };
+    let query = generate_workload(&source, &cfg).swap_remove(7).query;
+    assert!(
+        matches!(&query, BeasQuery::Aggregate(a) if a.agg == AggFunc::Max),
+        "{query:?}"
+    );
+    let data = tpch_lite(10, 42);
+    let engine = Beas::builder(data.db)
+        .constraints(data.constraints)
+        .build()
+        .expect("catalog");
+    for budget in [50, 500, 2000] {
+        let answer = engine
+            .answer(&query, ResourceSpec::Tuples(budget))
+            .expect("answer");
+        assert!(answer.eta > 0.0, "budget {budget}: η is {}", answer.eta);
+        let measured = engine
+            .accuracy(&answer.answers, &query, &AccuracyConfig::default())
+            .expect("accuracy computation");
+        assert!(
+            measured.accuracy >= answer.eta,
+            "budget {budget}: measured RC accuracy {} below planned η {}",
+            measured.accuracy,
+            answer.eta
+        );
+    }
 }
