@@ -292,22 +292,6 @@ impl ClusterBuilder {
             })
             .collect();
         let metrics = Arc::new(ClusterMetrics::new(self.shards));
-        // storage sampler: sum the shard engines' storage-tier counters so
-        // `GET /metrics` shows cluster-wide WAL/snapshot/page-in activity
-        // (all zero until shards run on durable stores)
-        let storage_nodes = nodes.clone();
-        metrics.set_storage_provider(move || {
-            let mut total = crate::metrics::StorageCounters::default();
-            for node in &storage_nodes {
-                let stats = node.engine().stats();
-                total.segments_written += stats.segments_written;
-                total.segments_loaded += stats.segments_loaded;
-                total.wal_bytes += stats.wal_bytes;
-                total.replayed_batches += stats.replayed_batches;
-                total.page_ins += stats.page_ins;
-            }
-            total
-        });
         let transport: Arc<dyn ShardTransport> = Arc::new(InProcessTransport::new(nodes.clone()));
         Ok(ClusterHandle {
             catalog,

@@ -128,7 +128,7 @@ pub use coordinator::{
     RetryPolicy, ShardOutage,
 };
 pub use error::{ClusterError, Result, ShardFailure};
-pub use metrics::{serve_metrics, ClusterMetrics, MetricsServer, StorageCounters};
+pub use metrics::{serve_metrics, ClusterMetrics, MetricsServer};
 pub use partition::Partitioning;
 pub use shard::ShardNode;
 pub use tcp::{ShardServer, TcpShardTransport};

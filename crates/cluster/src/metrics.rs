@@ -10,10 +10,11 @@
 //! through `beas-serve`'s [`listen`]: a thread per connection, so an idle
 //! keep-alive scraper neither blocks other scrapes nor holds up shutdown.
 
+use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use beas_serve::http::{error_body, listen, Listener, Request};
+use beas_serve::http::{error_body, listen, write_response, Listener, Request};
 use beas_serve::{Json, LatencyHistogram};
 
 use crate::error::Result;
@@ -50,33 +51,12 @@ struct Inner {
     shards: Vec<ShardCounters>,
 }
 
-/// Aggregate storage-tier counters across a cluster's shard engines (summed
-/// [`beas_core::EngineStats`] storage fields). All zero for a cluster whose
-/// shards run without a durable store.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct StorageCounters {
-    /// Segments written across all shard stores.
-    pub segments_written: u64,
-    /// Segments loaded (snapshot opens + lazy page-ins).
-    pub segments_loaded: u64,
-    /// WAL bytes appended since the last compaction.
-    pub wal_bytes: u64,
-    /// WAL batches replayed on warm restarts.
-    pub replayed_batches: u64,
-    /// Paged levels faulted into memory on demand.
-    pub page_ins: u64,
-}
-
-/// Closure that samples the cluster's storage counters on demand.
-type StorageProvider = Box<dyn Fn() -> StorageCounters + Send + Sync>;
-
 /// Coordinator metrics: per-shard budget allocation and latency, plus merge
 /// time. Cheap to record (one mutex around per-shard counters; the merge
 /// histogram is lock-free).
 pub struct ClusterMetrics {
     inner: Mutex<Inner>,
     merge: LatencyHistogram,
-    storage: Mutex<Option<StorageProvider>>,
 }
 
 impl std::fmt::Debug for ClusterMetrics {
@@ -98,24 +78,7 @@ impl ClusterMetrics {
                 shards: (0..shards).map(|_| ShardCounters::default()).collect(),
             }),
             merge: LatencyHistogram::default(),
-            storage: Mutex::new(None),
         }
-    }
-
-    /// Installs the storage sampler: called on every [`ClusterMetrics::
-    /// to_json`] to add a `storage` object to the snapshot. The coordinator
-    /// wires a closure summing the shard engines' storage counters.
-    pub fn set_storage_provider(
-        &self,
-        provider: impl Fn() -> StorageCounters + Send + Sync + 'static,
-    ) {
-        *self.storage.lock().expect("metrics poisoned") = Some(Box::new(provider));
-    }
-
-    /// The current storage counters (`None` until a provider is installed).
-    pub fn storage(&self) -> Option<StorageCounters> {
-        let provider = self.storage.lock().expect("metrics poisoned");
-        provider.as_ref().map(|p| p())
     }
 
     /// Records one query's budget allocation (`shares[s]`, with `tariffs[s]`
@@ -214,7 +177,7 @@ impl ClusterMetrics {
                 ])
             })
             .collect();
-        let mut fields = vec![
+        Json::obj(vec![
             ("queries", Json::Int(inner.queries as i64)),
             ("degraded_answers", Json::Int(inner.degraded_answers as i64)),
             (
@@ -226,27 +189,7 @@ impl ClusterMetrics {
                 ]),
             ),
             ("shards", Json::Arr(shards)),
-        ];
-        drop(inner);
-        if let Some(storage) = self.storage() {
-            fields.push((
-                "storage",
-                Json::obj(vec![
-                    (
-                        "segments_written",
-                        Json::Int(storage.segments_written as i64),
-                    ),
-                    ("segments_loaded", Json::Int(storage.segments_loaded as i64)),
-                    ("wal_bytes", Json::Int(storage.wal_bytes as i64)),
-                    (
-                        "replayed_batches",
-                        Json::Int(storage.replayed_batches as i64),
-                    ),
-                    ("page_ins", Json::Int(storage.page_ins as i64)),
-                ]),
-            ));
-        }
-        Json::obj(fields)
+        ])
     }
 }
 
@@ -257,14 +200,23 @@ pub type MetricsServer = Listener;
 /// Serves `metrics` as JSON under `GET /metrics` on `bind`
 /// (e.g. `"127.0.0.1:0"`).
 pub fn serve_metrics(metrics: Arc<ClusterMetrics>, bind: &str) -> Result<MetricsServer> {
-    let handler = move |request: &Request| {
-        if request.method == "GET" && request.path == "/metrics" {
+    let respond = move |request: &Request, stream: &mut TcpStream| {
+        let (status, body) = if request.method == "GET" && request.path == "/metrics" {
             (200, metrics.to_json().to_string())
         } else {
             (404, error_body("not found"))
-        }
+        };
+        write_response(stream, status, &body, request.keep_alive, &[])
     };
-    Ok(listen(bind, "cluster-metrics", 16 * 1024, handler)?)
+    // no connection cap and no idle timeout, like the shard servers
+    Ok(listen(
+        bind,
+        "cluster-metrics",
+        16 * 1024,
+        usize::MAX,
+        None,
+        respond,
+    )?)
 }
 
 #[cfg(test)]
@@ -294,32 +246,6 @@ mod tests {
         assert_eq!(shards[1].get("calls").and_then(Json::as_i64), Some(1));
         let merge = json.get("merge").unwrap();
         assert_eq!(merge.get("count").and_then(Json::as_i64), Some(1));
-    }
-
-    #[test]
-    fn storage_counters_appear_once_a_provider_is_installed() {
-        let metrics = ClusterMetrics::new(1);
-        assert!(metrics.to_json().get("storage").is_none());
-        assert!(metrics.storage().is_none());
-        metrics.set_storage_provider(|| StorageCounters {
-            segments_written: 7,
-            segments_loaded: 5,
-            wal_bytes: 4096,
-            replayed_batches: 2,
-            page_ins: 3,
-        });
-        let storage = metrics.to_json().get("storage").cloned().unwrap();
-        assert_eq!(
-            storage.get("segments_written").and_then(Json::as_i64),
-            Some(7)
-        );
-        assert_eq!(storage.get("wal_bytes").and_then(Json::as_i64), Some(4096));
-        assert_eq!(
-            storage.get("replayed_batches").and_then(Json::as_i64),
-            Some(2)
-        );
-        assert_eq!(storage.get("page_ins").and_then(Json::as_i64), Some(3));
-        assert_eq!(metrics.storage().unwrap().segments_loaded, 5);
     }
 
     #[test]

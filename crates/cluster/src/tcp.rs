@@ -32,7 +32,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use beas_serve::http::{error_body, listen, Listener};
+use beas_serve::http::{error_body, listen, write_response, Listener};
 use beas_serve::{parse_json, Client, Json};
 
 use crate::error::{ClusterError, Result};
@@ -57,14 +57,24 @@ impl ShardServer {
     /// Serves `node` on `bind` (e.g. `"127.0.0.1:0"`).
     pub fn serve(node: Arc<ShardNode>, bind: &str) -> Result<Self> {
         let name = format!("shard-server-{}", node.shard());
-        let listener = listen(bind, &name, MAX_BODY, move |request| {
-            if request.method == "POST" && request.path == "/shard" {
-                let text = String::from_utf8_lossy(&request.body);
-                (200, node.handle_text(&text))
-            } else {
-                (404, error_body("not found"))
-            }
-        })?;
+        // no connection cap and no idle timeout: the transport's pooled
+        // keep-alive connections stay open between queries
+        let listener = listen(
+            bind,
+            &name,
+            MAX_BODY,
+            usize::MAX,
+            None,
+            move |request, stream| {
+                let (status, body) = if request.method == "POST" && request.path == "/shard" {
+                    let text = String::from_utf8_lossy(&request.body);
+                    (200, node.handle_text(&text))
+                } else {
+                    (404, error_body("not found"))
+                };
+                write_response(stream, status, &body, request.keep_alive, &[])
+            },
+        )?;
         Ok(ShardServer { listener })
     }
 

@@ -109,7 +109,7 @@ pub struct FaultRates {
     pub disconnect: u32,
     /// Responses corrupted into unparseable bytes (‰).
     pub garble: u32,
-    /// Responses delayed by `delay_for` (‰).
+    /// Responses delayed by 200 µs (‰).
     pub delay: u32,
 }
 
@@ -125,6 +125,9 @@ impl FaultRates {
     }
 }
 
+/// How long an injected delay fault stalls the call.
+const INJECTED_DELAY: Duration = Duration::from_micros(200);
+
 /// A [`ShardTransport`] decorator injecting faults by a seeded, deterministic
 /// schedule — the chaos harness behind `tests/chaos.rs`. Faults are chosen
 /// per call from a splitmix64 stream, so a (seed, call sequence) pair
@@ -139,10 +142,7 @@ impl FaultRates {
 pub struct FaultInjectingTransport {
     inner: Arc<dyn ShardTransport>,
     rates: FaultRates,
-    delay_for: Duration,
     rng: AtomicU64,
-    /// Remaining faults the schedule may inject (`u64::MAX` = unlimited).
-    fault_budget: AtomicU64,
     down: Vec<AtomicBool>,
     injected: AtomicU64,
 }
@@ -154,26 +154,10 @@ impl FaultInjectingTransport {
         FaultInjectingTransport {
             inner,
             rates,
-            delay_for: Duration::from_micros(200),
             rng: AtomicU64::new(seed),
-            fault_budget: AtomicU64::new(u64::MAX),
             down: (0..shards).map(|_| AtomicBool::new(false)).collect(),
             injected: AtomicU64::new(0),
         }
-    }
-
-    /// Caps how many faults the schedule may inject in total (down-switches
-    /// are not counted). With retries configured above the cap, a capped
-    /// schedule can never exhaust a retry budget.
-    pub fn with_fault_cap(self, cap: u64) -> Self {
-        self.fault_budget.store(cap, Ordering::Relaxed);
-        self
-    }
-
-    /// Sets how long an injected delay fault stalls the call.
-    pub fn with_delay(mut self, delay: Duration) -> Self {
-        self.delay_for = delay;
-        self
     }
 
     /// Hard-fails (or revives) `shard`: while down, every call to it errors
@@ -208,33 +192,13 @@ impl FaultInjectingTransport {
             (self.rates.delay, Fault::Delay),
         ];
         let mut edge = 0;
-        let mut fault = None;
         for (rate, kind) in ladder {
             edge += rate;
             if roll < edge {
-                fault = Some(kind);
-                break;
+                return Some(kind);
             }
         }
-        fault?;
-        // spend one unit of the fault budget, never going below zero
-        let mut left = self.fault_budget.load(Ordering::Relaxed);
-        loop {
-            if left == 0 {
-                return None;
-            }
-            let next = if left == u64::MAX { left } else { left - 1 };
-            match self.fault_budget.compare_exchange_weak(
-                left,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(actual) => left = actual,
-            }
-        }
-        fault
+        None
     }
 }
 
@@ -310,13 +274,13 @@ impl ShardTransport for FaultInjectingTransport {
             }
             Some(Fault::Delay) => {
                 self.injected.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(self.delay_for);
+                std::thread::sleep(INJECTED_DELAY);
                 if let Some(deadline) = deadline {
                     let now = Instant::now();
                     if now >= deadline {
                         return Err(ClusterError::Timeout {
                             shard,
-                            elapsed: self.delay_for,
+                            elapsed: INJECTED_DELAY,
                             deadline: Duration::ZERO,
                         });
                     }

@@ -230,11 +230,6 @@ impl ExecState {
         self.fragments.len()
     }
 
-    /// Number of cached SPC leaf results held.
-    pub fn cached_leaves(&self) -> usize {
-        self.leaves.len()
-    }
-
     /// Tuples currently held across the fragment set and cached leaf results
     /// — the memory-pressure signal an idle-eviction sweep weighs a session
     /// by.

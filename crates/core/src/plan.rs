@@ -16,7 +16,7 @@
 use std::collections::BTreeSet;
 
 use beas_access::{Catalog, FamilyId, Level};
-use beas_relal::{DatabaseSchema, SpcQuery, Term, Value};
+use beas_relal::{DatabaseSchema, SpcQuery, Value};
 
 use crate::error::{BeasError, Result};
 
@@ -54,13 +54,6 @@ pub struct FetchNode {
     /// Whether this node's output is the fetched relation used for its atom in
     /// the evaluation plan (the "completion" fetch of the atom).
     pub is_completion: bool,
-}
-
-impl FetchNode {
-    /// `true` when the key is built from constants only.
-    pub fn constant_key(&self) -> bool {
-        self.input_node.is_none()
-    }
 }
 
 /// The fetching plan `ξ_F`: fetch nodes in execution (topological) order.
@@ -271,11 +264,6 @@ pub fn needed_positions(leaf: &SpcQuery) -> Vec<BTreeSet<usize>> {
         }
     }
     needed
-}
-
-/// Returns the term at a position.
-pub fn term_at(leaf: &SpcQuery, pos: beas_relal::Position) -> &Term {
-    &leaf.terms[pos.0][pos.1]
 }
 
 #[cfg(test)]

@@ -155,11 +155,6 @@ impl DatabaseSchema {
             self.relations.push(schema);
         }
     }
-
-    /// Names of all relations.
-    pub fn relation_names(&self) -> Vec<String> {
-        self.relations.iter().map(|r| r.name.clone()).collect()
-    }
 }
 
 #[cfg(test)]

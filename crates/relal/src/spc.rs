@@ -141,15 +141,6 @@ impl SpcQuery {
         map
     }
 
-    /// The qualified column name of a position, e.g. `"h.price"`.
-    pub fn position_column(&self, pos: Position) -> Result<String> {
-        let atom = self
-            .atoms
-            .get(pos.0)
-            .ok_or_else(|| RelalError::InvalidQuery(format!("no atom {}", pos.0)))?;
-        Ok(format!("{}.attr{}", atom.alias, pos.1))
-    }
-
     /// The qualified column name of a position using real attribute names from
     /// the schema.
     pub fn position_column_named(&self, schema: &DatabaseSchema, pos: Position) -> Result<String> {

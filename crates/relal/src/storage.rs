@@ -276,26 +276,10 @@ impl Column {
         }
     }
 
-    /// The bool slice of a `Bool` column.
-    pub fn as_bools(&self) -> Option<&[bool]> {
-        match self {
-            Column::Bool(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// The codes and dictionary of a `Str` column.
     pub fn as_str_codes(&self) -> Option<(&[u32], &Arc<StrDict>)> {
         match self {
             Column::Str { codes, dict } => Some((codes, dict)),
-            _ => None,
-        }
-    }
-
-    /// The value slice of a `Mixed` column.
-    pub fn as_mixed(&self) -> Option<&[Value]> {
-        match self {
-            Column::Mixed(v) => Some(v),
             _ => None,
         }
     }
@@ -362,66 +346,6 @@ impl Column {
                 codes.push(Arc::make_mut(dict).intern(s));
             }
             _ => self.push(v.clone()),
-        }
-    }
-
-    /// Appends `v` `n` times (one intern / type decision, then a contiguous
-    /// extend). Used by fetch materialisation, where an X-key value repeats
-    /// for every representative returned under it.
-    pub fn push_repeat(&mut self, v: Value, n: usize) {
-        if n == 0 {
-            return;
-        }
-        self.push(v);
-        if n == 1 {
-            return;
-        }
-        match self {
-            Column::Int(c) => {
-                let x = *c.last().expect("just pushed");
-                c.extend(std::iter::repeat_n(x, n - 1));
-            }
-            Column::Float(c) => {
-                let x = *c.last().expect("just pushed");
-                c.extend(std::iter::repeat_n(x, n - 1));
-            }
-            Column::Bool(c) => {
-                let x = *c.last().expect("just pushed");
-                c.extend(std::iter::repeat_n(x, n - 1));
-            }
-            Column::Str { codes, .. } => {
-                let x = *codes.last().expect("just pushed");
-                codes.extend(std::iter::repeat_n(x, n - 1));
-            }
-            Column::Mixed(c) => {
-                let x = c.last().expect("just pushed").clone();
-                c.extend(std::iter::repeat_n(x, n - 1));
-            }
-        }
-    }
-
-    /// Appends the value at `other[i]`, avoiding materialisation when the
-    /// variants agree.
-    pub fn push_from(&mut self, other: &Column, i: usize) {
-        match (&mut *self, other) {
-            (Column::Int(a), Column::Int(b)) => a.push(b[i]),
-            (Column::Float(a), Column::Float(b)) => a.push(b[i]),
-            (Column::Bool(a), Column::Bool(b)) => a.push(b[i]),
-            (
-                Column::Str { codes, dict },
-                Column::Str {
-                    codes: oc,
-                    dict: od,
-                },
-            ) => {
-                if Arc::ptr_eq(dict, od) {
-                    codes.push(oc[i]);
-                } else {
-                    let code = Arc::make_mut(dict).intern(od.get(oc[i]));
-                    codes.push(code);
-                }
-            }
-            _ => self.push(other.value(i)),
         }
     }
 

@@ -3,24 +3,23 @@
 //! and response writing. Just enough protocol for the JSON wire — TLS, HTTP/2
 //! and gRPC are ROADMAP follow-ups.
 //!
-//! Every server in the workspace serves its connections through the one loop
-//! here, `serve_connection`: `TCP_NODELAY` on, one request at a time off a
-//! keep-alive connection, and **one write per message** — head and body leave
-//! in a single buffer ([`write_response`]), because two writes are two
-//! segments and, without `NODELAY`, the second waits out the peer's delayed
-//! ACK (40 ms on Linux) of the first. Every open connection is registered in
-//! the server's `Connections`, so shutdown wakes the threads blocked on idle
+//! Every server in the workspace — the query front-end, the cluster's shard
+//! servers and its `/metrics` endpoint — runs on the one accept loop here,
+//! [`listen`]: one thread per accepted connection, at most `max_connections`
+//! of them at once (the next connection waits in the listen backlog), each
+//! serving one request at a time off a keep-alive connection with
+//! `TCP_NODELAY` on and **one write per message** — head and body leave in a
+//! single buffer ([`write_response`]), because two writes are two segments
+//! and, without `NODELAY`, the second waits out the peer's delayed ACK
+//! (40 ms on Linux) of the first. Every open connection is registered in the
+//! server's `Connections`, so shutdown wakes the threads blocked on idle
 //! keep-alive connections at once instead of polling or waiting them out.
-//! [`listen`] puts an accept loop and a thread per connection in front of it
-//! for servers whose handler is a plain `Fn(&Request) -> (status, body)`
-//! (the cluster's shard and metrics endpoints); the query server keeps its
-//! bounded worker pool and calls `serve_connection` from each worker.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use crate::json::Json;
@@ -294,14 +293,16 @@ pub fn error_body(message: &str) -> String {
     Json::obj(vec![("error", Json::Str(message.to_string()))]).to_string()
 }
 
-/// The open connections of one server plus its stop flag: what shutdown needs
-/// to end every connection thread promptly.
+/// The open connections of one server plus its stop flag: what the
+/// connection cap and shutdown need.
 #[derive(Debug, Default)]
-pub(crate) struct Connections {
+struct Connections {
     stopping: AtomicBool,
     next_id: AtomicU64,
     /// A clone of every connection being served, until its loop returns.
     open: Mutex<HashMap<u64, TcpStream>>,
+    /// Signalled when a connection leaves `open` and when the server stops.
+    changed: Condvar,
 }
 
 /// Removes a connection from its [`Connections`] when its loop returns.
@@ -315,29 +316,47 @@ impl Drop for Registered<'_> {
         if let Ok(mut open) = self.conns.open.lock() {
             open.remove(&self.id);
         }
+        self.conns.changed.notify_all();
     }
 }
 
 impl Connections {
     /// Whether [`Connections::stop`] was called.
-    pub(crate) fn stopping(&self) -> bool {
+    fn stopping(&self) -> bool {
         self.stopping.load(Ordering::SeqCst)
     }
 
-    /// Marks the server as stopping and closes the read half of every open
+    /// Marks the server as stopping, wakes the accept loop if it waits at
+    /// the connection cap, and closes the read half of every open
     /// connection: a thread blocked reading an idle connection sees end of
     /// input and returns, one that is answering a request still delivers its
     /// response first. Returns `false` when the server was stopping already.
-    pub(crate) fn stop(&self) -> bool {
+    fn stop(&self) -> bool {
         if self.stopping.swap(true, Ordering::SeqCst) {
             return false;
         }
+        // taking the lock orders the flag before a waiter's next check
         if let Ok(open) = self.open.lock() {
             for stream in open.values() {
                 let _ = stream.shutdown(Shutdown::Read);
             }
         }
+        self.changed.notify_all();
         true
+    }
+
+    /// Blocks until fewer than `max` connections are open or the server
+    /// stops; returns whether it is still running.
+    fn wait_below(&self, max: usize) -> bool {
+        let open = self
+            .open
+            .lock()
+            .expect("a connection thread panicked holding the registry");
+        let _open = self
+            .changed
+            .wait_while(open, |open| open.len() >= max && !self.stopping())
+            .expect("a connection thread panicked holding the registry");
+        !self.stopping()
     }
 
     fn register(&self, stream: &TcpStream) -> std::io::Result<Registered<'_>> {
@@ -353,25 +372,20 @@ impl Connections {
 
 /// Serves one connection until the peer closes it, a read times out, an
 /// error, or shutdown: reads requests off the keep-alive connection and hands
-/// each to `respond`, which writes the response to the stream it is given
-/// (normally one [`write_response`]; the streamed route writes chunks). A
-/// request that cannot be parsed is answered `400`, one over `max_body` bytes
-/// `413`, and the connection closed — after either, the position in the byte
-/// stream is unknown. `timeout` bounds every read and write; `None` lets an
-/// idle connection stay open as long as the peer keeps it.
-pub(crate) fn serve_connection(
+/// each to `respond`. A request that cannot be parsed is answered `400`, one
+/// over `max_body` bytes `413`, and the connection closed — after either, the
+/// position in the byte stream is unknown. `timeout` bounds every read and
+/// write.
+fn serve_connection(
     stream: TcpStream,
     conns: &Connections,
     max_body: usize,
     timeout: Option<Duration>,
-    mut respond: impl FnMut(&Request, &mut TcpStream) -> std::io::Result<()>,
+    respond: impl Fn(&Request, &mut TcpStream) -> std::io::Result<()>,
 ) -> std::io::Result<()> {
     stream.set_nodelay(true)?;
     stream.set_read_timeout(timeout)?;
     stream.set_write_timeout(timeout)?;
-    // registered before the stop flag is read: a connection `stop` did not
-    // see in the registry is one whose thread sees the flag here
-    let _registered = conns.register(&stream)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut stream = stream;
     while !conns.stopping() {
@@ -420,9 +434,10 @@ impl Listener {
 
     fn stop_and_join(&mut self) {
         self.conns.stop();
-        // unblock the accept loop
-        let _ = TcpStream::connect(self.addr);
         if let Some(accept) = self.accept.take() {
+            // wake the accept loop; bounded, so a full backlog cannot hang
+            // shutdown
+            let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(250));
             let _ = accept.join();
         }
     }
@@ -434,48 +449,60 @@ impl Drop for Listener {
     }
 }
 
-/// Binds `bind` (e.g. `"127.0.0.1:0"`) and answers every request with
-/// `handler`'s `(status, body)`: one accept thread named `name`, one thread
-/// per connection running the shared connection loop with no idle timeout.
-pub fn listen<H>(bind: &str, name: &str, max_body: usize, handler: H) -> std::io::Result<Listener>
+/// Binds `bind` (e.g. `"127.0.0.1:0"`) and serves every connection with
+/// `respond`, which writes each request's response to the stream it is
+/// given (normally one [`write_response`]; a streamed route writes chunks).
+/// One accept thread named `name`, one thread named `{name}-conn` per
+/// connection. At most `max_connections` (min 1) connections are served at
+/// once: a connection counts from the moment it is accepted, and the loop
+/// waits for one to close before it accepts the next, which meanwhile waits
+/// in the listen backlog. `idle_timeout` bounds every read and write; `None`
+/// lets an idle keep-alive connection stay open as long as the peer keeps it.
+pub fn listen<H>(
+    bind: &str,
+    name: &str,
+    max_body: usize,
+    max_connections: usize,
+    idle_timeout: Option<Duration>,
+    respond: H,
+) -> std::io::Result<Listener>
 where
-    H: Fn(&Request) -> (u16, String) + Send + Sync + 'static,
+    H: Fn(&Request, &mut TcpStream) -> std::io::Result<()> + Send + Sync + 'static,
 {
     let listener = TcpListener::bind(bind)?;
     let addr = listener.local_addr()?;
     let conns = Arc::new(Connections::default());
     let accept_conns = Arc::clone(&conns);
     let conn_name = format!("{name}-conn");
+    let max_connections = max_connections.max(1);
     let accept = std::thread::Builder::new()
         .name(name.to_string())
         .spawn(move || {
-            let (conns, handler) = (&*accept_conns, &handler);
+            let (conns, respond) = (&*accept_conns, &respond);
             // the scope joins the connection threads when the loop ends
             std::thread::scope(|scope| {
-                for stream in listener.incoming() {
-                    if conns.stopping() {
-                        break;
-                    }
-                    let Ok(stream) = stream else {
+                while conns.wait_below(max_connections) {
+                    let Ok((stream, _)) = listener.accept() else {
                         // a persistent accept error (descriptor exhaustion)
                         // must not spin; let connections finish and free some
                         std::thread::sleep(Duration::from_millis(20));
                         continue;
                     };
+                    // registered before the stop flag is read: a connection
+                    // `stop` did not see in the registry is dropped here
+                    let Ok(registered) = conns.register(&stream) else {
+                        continue;
+                    };
+                    if conns.stopping() {
+                        break;
+                    }
                     // if no thread can be spawned the connection is dropped
                     let _ = std::thread::Builder::new()
                         .name(conn_name.clone())
                         .spawn_scoped(scope, move || {
-                            let _ = serve_connection(
-                                stream,
-                                conns,
-                                max_body,
-                                None,
-                                |request, stream| {
-                                    let (status, body) = handler(request);
-                                    write_response(stream, status, &body, request.keep_alive, &[])
-                                },
-                            );
+                            let _ =
+                                serve_connection(stream, conns, max_body, idle_timeout, respond);
+                            drop(registered);
                         });
                 }
             });
@@ -496,13 +523,21 @@ mod tests {
     const TIMEOUT: Duration = Duration::from_secs(5);
 
     fn echo_server() -> Listener {
-        listen("127.0.0.1:0", "echo", 64, |request| {
-            if request.path == "/echo" {
-                (200, String::from_utf8_lossy(&request.body).into_owned())
-            } else {
-                (404, error_body("not found"))
-            }
-        })
+        listen(
+            "127.0.0.1:0",
+            "echo",
+            64,
+            usize::MAX,
+            None,
+            |request, stream| {
+                let (status, body) = if request.path == "/echo" {
+                    (200, String::from_utf8_lossy(&request.body).into_owned())
+                } else {
+                    (404, error_body("not found"))
+                };
+                write_response(stream, status, &body, request.keep_alive, &[])
+            },
+        )
         .unwrap()
     }
 
@@ -589,11 +624,18 @@ mod tests {
         let (started_tx, started_rx) = mpsc::channel();
         let (release_tx, release_rx) = mpsc::channel::<()>();
         let release_rx = Mutex::new(release_rx);
-        let server = listen("127.0.0.1:0", "slow", 64, move |_| {
-            started_tx.send(()).unwrap();
-            release_rx.lock().unwrap().recv().unwrap();
-            (200, "\"done\"".to_string())
-        })
+        let server = listen(
+            "127.0.0.1:0",
+            "slow",
+            64,
+            usize::MAX,
+            None,
+            move |request, stream| {
+                started_tx.send(()).unwrap();
+                release_rx.lock().unwrap().recv().unwrap();
+                write_response(stream, 200, "\"done\"", request.keep_alive, &[])
+            },
+        )
         .unwrap();
         let idle = TcpStream::connect(server.addr()).unwrap();
         let addr = server.addr();

@@ -3,7 +3,7 @@
 //! The paper answers queries under an explicit resource bound; this crate
 //! enforces the same discipline *at the door* of a network server. It exposes
 //! the `Send + Sync` BEAS engine over a small JSON wire protocol (HTTP/1.1,
-//! `TcpListener` + worker pool, std-only — no external dependencies), and
+//! a thread per connection, std-only — no external dependencies), and
 //! admits requests through per-tenant token buckets denominated in *budget
 //! tuples per second*: the cost of a query is the tuple budget its
 //! [`ResourceSpec`](beas_access::ResourceSpec) resolves to — exactly the
@@ -40,8 +40,9 @@
 //! # server.shutdown();
 //! ```
 //!
-//! See the module docs for the pieces: [`server`] (routes and worker pool),
-//! [`http`] (the one connection loop every server in the workspace runs),
+//! See the module docs for the pieces: [`server`] (routes and the
+//! connection cap), [`http`] (the one accept and connection loop every
+//! server in the workspace runs),
 //! [`admission`] (token buckets, in-flight caps, bounded queues),
 //! [`wire`] (the JSON query/answer format), [`metrics`] (per-tenant
 //! counters + latency histograms), [`json`] (the std-only JSON value) and

@@ -1,8 +1,9 @@
-//! The serving front-end: a `TcpListener` worker pool speaking the JSON wire
-//! protocol over HTTP/1.1 keep-alive connections, with per-tenant
-//! budget-aware admission control in front of the engine. Each worker accepts
-//! a connection and serves it through `http::serve_connection`, so
-//! [`ServeConfig::workers`] bounds the connections served at once.
+//! The serving front-end: the JSON wire protocol over HTTP/1.1 keep-alive
+//! connections, with per-tenant budget-aware admission control in front of
+//! the engine. It runs on [`http::listen`](crate::http::listen), a thread per
+//! connection: [`ServeConfig::workers`] caps the connections served at once
+//! (the next one waits in the listen backlog) and
+//! [`ServeConfig::read_timeout`] closes idle ones.
 //!
 //! # Endpoints
 //!
@@ -39,7 +40,7 @@
 //! stream.
 
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
@@ -50,8 +51,8 @@ use beas_relal::ValueType;
 
 use crate::admission::{Rejection, Tenant, TenantPolicy, TenantRegistry};
 use crate::http::{
-    error_body, finish_chunked, serve_connection, write_chunk, write_chunked_head, write_response,
-    Connections, Request,
+    error_body, finish_chunked, listen, write_chunk, write_chunked_head, write_response, Listener,
+    Request,
 };
 use crate::json::{parse, Json};
 use crate::metrics::TenantMetrics;
@@ -61,10 +62,10 @@ use crate::wire;
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port (the bound address is on
-    /// [`RunningServer::addr`]).
+    /// [`Listener::addr`]).
     pub addr: String,
-    /// Worker threads; each worker serves one connection at a time, so this
-    /// is also the concurrent-connection cap.
+    /// Connections served at once, each on its own thread; the next one
+    /// waits in the listen backlog until one closes.
     pub workers: usize,
     /// Hard cap on request bodies (bytes); larger declarations get `413`.
     pub max_body_bytes: usize,
@@ -120,7 +121,7 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the worker-thread count (min 1).
+    /// Sets the number of connections served at once (min 1).
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
@@ -154,58 +155,10 @@ struct ServerState {
 
 /// A running server: its bound address plus shutdown control. Dropping the
 /// handle shuts the server down.
-pub struct RunningServer {
-    addr: SocketAddr,
-    conns: Arc<Connections>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for RunningServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RunningServer")
-            .field("addr", &self.addr)
-            .field("workers", &self.workers.len())
-            .finish()
-    }
-}
-
-impl RunningServer {
-    /// The bound address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stops accepting, ends idle keep-alive connections (a request in
-    /// flight is still answered), wakes the workers and joins them.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        if !self.conns.stop() {
-            return;
-        }
-        // wake every worker blocked in accept()
-        for _ in 0..self.workers.len() {
-            let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(250));
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
-impl Drop for RunningServer {
-    fn drop(&mut self) {
-        self.stop_and_join();
-    }
-}
+pub type RunningServer = Listener;
 
 /// Starts a server over `engine` and returns once the listener is bound.
 pub fn serve(engine: ServeHandle, config: ServeConfig) -> std::io::Result<RunningServer> {
-    let listener = TcpListener::bind(&config.addr)?;
-    let addr = listener.local_addr()?;
-
     let mut tenants = TenantRegistry::new();
     let mut metrics = HashMap::new();
     for (name, policy) in &config.tenants {
@@ -222,7 +175,7 @@ pub fn serve(engine: ServeHandle, config: ServeConfig) -> std::io::Result<Runnin
         tenants.set_default(default.clone());
     }
 
-    let state = Arc::new(ServerState {
+    let state = ServerState {
         engine,
         tenants,
         metrics,
@@ -230,61 +183,15 @@ pub fn serve(engine: ServeHandle, config: ServeConfig) -> std::io::Result<Runnin
         next_prepared: AtomicU64::new(1),
         started: Instant::now(),
         config: config.clone(),
-    });
-    let conns = Arc::new(Connections::default());
-
-    // clone all listener handles *before* spawning anything: a partial
-    // failure must not leave orphan worker threads behind an Err return
-    let listeners = (0..config.workers.max(1))
-        .map(|_| listener.try_clone())
-        .collect::<std::io::Result<Vec<_>>>()?;
-    let workers = listeners
-        .into_iter()
-        .enumerate()
-        .map(|(i, listener)| {
-            let state = Arc::clone(&state);
-            let conns = Arc::clone(&conns);
-            std::thread::Builder::new()
-                .name(format!("beas-serve-{i}"))
-                .spawn(move || worker_loop(listener, &state, &conns))
-                .expect("spawn worker")
-        })
-        .collect::<Vec<_>>();
-
-    Ok(RunningServer {
-        addr,
-        conns,
-        workers,
-    })
-}
-
-/// One worker: accept → serve the connection's keep-alive request sequence
-/// through the shared `serve_connection` loop → accept again, until
-/// shutdown.
-fn worker_loop(listener: TcpListener, state: &ServerState, conns: &Connections) {
-    loop {
-        let Ok((stream, _)) = listener.accept() else {
-            if conns.stopping() {
-                return;
-            }
-            // a persistent accept error (e.g. fd exhaustion) must not
-            // busy-spin the worker pool; back off briefly so in-flight
-            // handlers can release descriptors
-            std::thread::sleep(Duration::from_millis(20));
-            continue;
-        };
-        if conns.stopping() {
-            return;
-        }
-        let config = &state.config;
-        let _ = serve_connection(
-            stream,
-            conns,
-            config.max_body_bytes,
-            Some(config.read_timeout),
-            |request, stream| respond(state, request, stream),
-        );
-    }
+    };
+    listen(
+        &config.addr,
+        "beas-serve",
+        config.max_body_bytes,
+        config.workers,
+        Some(config.read_timeout),
+        move |request, stream| respond(&state, request, stream),
+    )
 }
 
 /// Answers one request on `stream`.
@@ -296,14 +203,7 @@ fn respond(state: &ServerState, request: &Request, stream: &mut TcpStream) -> st
         // has already refunded the unconsumed steps)
         return stream_query(state, request, stream);
     }
-    let reply = cap_response(state, path, handle(state, request));
-    write_response(
-        stream,
-        reply.status,
-        &reply.body,
-        request.keep_alive,
-        &reply.headers,
-    )
+    cap_response(state, path, handle(state, request)).write(stream, request.keep_alive)
 }
 
 /// The response twin of the request-body cap: a successful non-streamed
@@ -350,6 +250,10 @@ impl Reply {
             headers: Vec::new(),
         }
     }
+
+    fn write(&self, stream: &mut TcpStream, keep_alive: bool) -> std::io::Result<()> {
+        write_response(stream, self.status, &self.body, keep_alive, &self.headers)
+    }
 }
 
 /// Routes one request.
@@ -382,14 +286,28 @@ fn handle(state: &ServerState, request: &Request) -> Reply {
 
 /// Parses the request body as a JSON object and runs the handler.
 fn with_body(request: &Request, f: impl FnOnce(&Json) -> Reply) -> Reply {
-    let text = match request.body_str() {
-        Ok(text) => text,
-        Err(_) => return Reply::error(400, "request body is not valid UTF-8"),
-    };
-    match parse(text) {
+    match parse_body(request) {
         Ok(body) => f(&body),
-        Err(e) => Reply::error(400, &format!("malformed JSON body: {e}")),
+        Err(reply) => reply,
     }
+}
+
+/// The request body as JSON, or the `400` that explains why it is not.
+fn parse_body(request: &Request) -> Result<Json, Reply> {
+    let text = request
+        .body_str()
+        .map_err(|_| Reply::error(400, "request body is not valid UTF-8"))?;
+    parse(text).map_err(|e| Reply::error(400, &format!("malformed JSON body: {e}")))
+}
+
+/// The tenant a request body names (field `"tenant"`, falling back to the
+/// configured default), or the `403` for an unknown or missing one.
+fn tenant_of<'s>(state: &'s ServerState, body: &Json) -> Result<&'s Tenant, Reply> {
+    let name = body.get("tenant").and_then(Json::as_str);
+    state.tenants.resolve(name).ok_or_else(|| match name {
+        Some(n) => Reply::error(403, &format!("unknown tenant `{n}`")),
+        None => Reply::error(403, "no tenant named and no default tenant configured"),
+    })
 }
 
 /// Admission bookkeeping shared by the budgeted handlers: resolves the
@@ -404,12 +322,9 @@ fn admitted<F: FnOnce(&Tenant) -> (Reply, usize)>(
     cost: f64,
     f: F,
 ) -> Reply {
-    let name = body.get("tenant").and_then(Json::as_str);
-    let Some(tenant) = state.tenants.resolve(name) else {
-        return match name {
-            Some(n) => Reply::error(403, &format!("unknown tenant `{n}`")),
-            None => Reply::error(403, "no tenant named and no default tenant configured"),
-        };
+    let tenant = match tenant_of(state, body) {
+        Ok(tenant) => tenant,
+        Err(reply) => return reply,
     };
     let metrics = &state.metrics[&tenant.name];
     match tenant.admit(cost) {
@@ -581,81 +496,55 @@ fn stream_query(
     stream: &mut TcpStream,
 ) -> std::io::Result<()> {
     let keep_alive = request.keep_alive;
-    // early failures answer as a plain (non-chunked) JSON error
-    let fail = |stream: &mut TcpStream,
-                status: u16,
-                message: &str,
-                headers: &[(&str, String)]|
-     -> std::io::Result<()> {
-        write_response(stream, status, &error_body(message), keep_alive, headers)
-    };
-
+    // early failures answer as a plain (non-chunked) JSON error;
     // chunked transfer encoding does not exist in HTTP/1.0 — a 1.0 client
     // would read the chunk-size lines as body bytes (RFC 9112 §7.1.1)
     if request.http1_0 {
-        return fail(
-            stream,
+        return Reply::error(
             400,
             "streamed responses require HTTP/1.1 (chunked transfer encoding); \
              use POST /query for a single-body answer",
-            &[],
-        );
+        )
+        .write(stream, keep_alive);
     }
-    let body = match request.body_str() {
-        Ok(text) => match parse(text) {
-            Ok(body) => body,
-            Err(e) => return fail(stream, 400, &format!("malformed JSON body: {e}"), &[]),
-        },
-        Err(_) => return fail(stream, 400, "request body is not valid UTF-8", &[]),
+    let body = match parse_body(request) {
+        Ok(body) => body,
+        Err(reply) => return reply.write(stream, keep_alive),
     };
     let schedule = match wire::schedule_from_json(&body) {
         Ok(schedule) => schedule,
-        Err(e) => return fail(stream, 400, &e.to_string(), &[]),
+        Err(e) => return Reply::error(400, &e.to_string()).write(stream, keep_alive),
     };
     let Some(query_json) = body.get("query") else {
-        return fail(stream, 400, "request: missing field `query`", &[]);
+        return Reply::error(400, "request: missing field `query`").write(stream, keep_alive);
     };
     let engine = state.engine.engine();
     let query = match wire::query_from_json(query_json, engine.schema()) {
         Ok(query) => query,
-        Err(e) => return fail(stream, 400, &e.to_string(), &[]),
+        Err(e) => return Reply::error(400, &e.to_string()).write(stream, keep_alive),
     };
     // prepare + open the session before admission, so the charge is the
     // session's actual resolved total (equal-budget steps deduplicated)
     let prepared = match engine.prepare(&query) {
         Ok(prepared) => prepared,
-        Err(e) => return fail(stream, 400, &e.to_string(), &[]),
+        Err(e) => return Reply::error(400, &e.to_string()).write(stream, keep_alive),
     };
     let mut session = match prepared.session(schedule) {
         Ok(session) => session,
-        Err(e) => return fail(stream, 400, &e.to_string(), &[]),
+        Err(e) => return Reply::error(400, &e.to_string()).write(stream, keep_alive),
     };
     let total = session.total_budget();
 
     // ---- admission: the schedule's total budget, charged up front
-    let name = body.get("tenant").and_then(Json::as_str);
-    let Some(tenant) = state.tenants.resolve(name) else {
-        return match name {
-            Some(n) => fail(stream, 403, &format!("unknown tenant `{n}`"), &[]),
-            None => fail(
-                stream,
-                403,
-                "no tenant named and no default tenant configured",
-                &[],
-            ),
-        };
+    let tenant = match tenant_of(state, &body) {
+        Ok(tenant) => tenant,
+        Err(reply) => return reply.write(stream, keep_alive),
     };
     let metrics = &state.metrics[&tenant.name];
     let guard = match tenant.admit(total as f64) {
         Err(rejection) => {
-            let reply = rejection_reply(&tenant.name, metrics, rejection, "schedule");
-            return write_response(
-                stream,
-                reply.status,
-                &reply.body,
-                keep_alive,
-                &reply.headers,
-            );
+            return rejection_reply(&tenant.name, metrics, rejection, "schedule")
+                .write(stream, keep_alive);
         }
         Ok(guard) => guard,
     };
@@ -714,14 +603,9 @@ fn stream_query(
 /// get `404` and simply re-prepare, exactly like a plan-cache eviction
 /// re-plans.
 fn prepare_handler(state: &ServerState, body: &Json) -> Reply {
-    // canonical owner name for the quota accounting (admission re-resolves
-    // and rejects unknown tenants before the closure runs)
-    let owner = state
-        .tenants
-        .resolve(body.get("tenant").and_then(Json::as_str))
-        .map(|t| t.name.clone());
-    admitted(state, body, 0.0, |_| {
-        let owner = owner.clone().expect("admitted implies a resolved tenant");
+    admitted(state, body, 0.0, |tenant| {
+        // the canonical owner name partitions the quota accounting
+        let owner = tenant.name.clone();
         let Some(query_json) = body.get("query") else {
             return (Reply::error(400, "request: missing field `query`"), 0);
         };
@@ -775,18 +659,15 @@ fn prepared_answer_handler(state: &ServerState, id: u64, body: &Json) -> Reply {
         Ok(spec) => spec,
         Err(e) => return Reply::error(400, &e.to_string()),
     };
-    let name = body.get("tenant").and_then(Json::as_str);
-    let Some(caller) = state.tenants.resolve(name).map(|t| t.name.clone()) else {
-        return match name {
-            Some(n) => Reply::error(403, &format!("unknown tenant `{n}`")),
-            None => Reply::error(403, "no tenant named and no default tenant configured"),
-        };
+    let caller = match tenant_of(state, body) {
+        Ok(tenant) => tenant,
+        Err(reply) => return reply,
     };
     let prepared = {
         let registry = state.prepared.read().expect("prepared registry poisoned");
         registry
             .get(&id)
-            .filter(|(owner, _)| *owner == caller)
+            .filter(|(owner, _)| *owner == caller.name)
             .map(|(_, p)| Arc::clone(p))
     };
     let Some(prepared) = prepared else {

@@ -716,6 +716,53 @@ fn http10_and_connection_close_are_honoured() {
 }
 
 #[test]
+fn workers_caps_the_connections_served_at_once() {
+    use std::io::{ErrorKind, Read, Write};
+    let server = start(
+        engine(50),
+        ServeConfig::default()
+            .tenant("t", open_tenant())
+            .default_tenant("t")
+            .workers(1),
+    );
+    let healthz = b"GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n";
+    // the one slot: a keep-alive client that has been served
+    let mut first = client(&server);
+    assert_eq!(first.get("/healthz").unwrap().status, 200);
+    // a second connection waits in the backlog: its request gets no byte
+    let mut second = std::net::TcpStream::connect(server.addr()).unwrap();
+    second.write_all(healthz).unwrap();
+    second
+        .set_read_timeout(Some(Duration::from_millis(300)))
+        .unwrap();
+    let err = second.read(&mut [0; 1]).unwrap_err();
+    assert!(
+        matches!(err.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+        "{err}"
+    );
+    // the slot frees when the first client leaves
+    drop(first);
+    second
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut response = String::new();
+    second.read_to_string(&mut response).unwrap();
+    assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+    // one connection open and one waiting at the cap: shutdown stays prompt
+    let mut open = client(&server);
+    assert_eq!(open.get("/healthz").unwrap().status, 200);
+    let waiting = std::net::TcpStream::connect(server.addr()).unwrap();
+    let start = Instant::now();
+    server.shutdown();
+    assert!(
+        start.elapsed() < Duration::from_secs(2),
+        "{:?}",
+        start.elapsed()
+    );
+    drop((open, waiting));
+}
+
+#[test]
 fn streamed_query_refines_and_final_frame_matches_one_shot() {
     let engine = engine(600);
     let server = start(

@@ -91,6 +91,7 @@ fn main() {
         leaked,
         answer.answers.len()
     );
+    assert_eq!(leaked, 0, "excluded tuples leaked into the answer");
 
     // ----------------------------------------------------------------------
     // Aggregate view: casualties per weather condition, BEAS vs histograms.
