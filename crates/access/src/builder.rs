@@ -22,30 +22,17 @@ use crate::family::{Level, Rep, TemplateFamily};
 use crate::kdtree::{multilevel_partition_threaded, LevelReps};
 use crate::par::par_map;
 
-/// Options controlling `A_t` construction.
-#[derive(Debug, Clone, Default)]
-pub struct AtOptions {
-    /// Upper bound on the number of levels per family. `None` builds levels
-    /// until the partition is exact (the paper's `M_R = ⌈log₂|D_R|⌉` levels).
-    /// Capping the levels trades index size for the ability to return exact
-    /// answers from the family.
-    pub level_cap: Option<usize>,
-}
-
 /// Builds the canonical access schema `A_t`: for every relation `R` of the
-/// database, a family `R(∅ → attr(R), 2^k, d̄_k)` with `k = 0..M_R`.
-pub fn build_at(db: &Database, opts: &AtOptions) -> Result<Vec<TemplateFamily>> {
-    build_at_threaded(db, opts, 1)
+/// database, a family `R(∅ → attr(R), 2^k, d̄_k)` with `k = 0..M_R`, built
+/// until the partition is exact (the paper's `M_R = ⌈log₂|D_R|⌉` levels).
+pub fn build_at(db: &Database) -> Result<Vec<TemplateFamily>> {
+    build_at_threaded(db, 1)
 }
 
 /// [`build_at`] with the per-relation K-D tree builds spread over up to
 /// `threads` scoped threads. The resulting families are byte-identical to the
 /// sequential build (see [`multilevel_partition_threaded`]).
-pub fn build_at_threaded(
-    db: &Database,
-    opts: &AtOptions,
-    threads: usize,
-) -> Result<Vec<TemplateFamily>> {
+pub fn build_at_threaded(db: &Database, threads: usize) -> Result<Vec<TemplateFamily>> {
     let mut families = Vec::new();
     for rel_schema in &db.schema.relations {
         let attrs: Vec<&str> = rel_schema
@@ -53,7 +40,7 @@ pub fn build_at_threaded(
             .iter()
             .map(|a| a.name.as_str())
             .collect();
-        let mut family = build_family(db, &rel_schema.name, &[], &attrs, opts.level_cap, threads)?;
+        let mut family = build_family(db, &rel_schema.name, &[], &attrs, threads)?;
         family.from_constraint = false;
         families.push(family);
     }
@@ -136,7 +123,7 @@ pub fn build_extended(
     x_attrs: &[&str],
     y_attrs: &[&str],
 ) -> Result<TemplateFamily> {
-    build_family(db, relation, x_attrs, y_attrs, None, 1)
+    build_family(db, relation, x_attrs, y_attrs, 1)
 }
 
 /// [`build_extended`] with the per-group K-D tree builds spread over up to
@@ -148,7 +135,7 @@ pub fn build_extended_threaded(
     y_attrs: &[&str],
     threads: usize,
 ) -> Result<TemplateFamily> {
-    build_family(db, relation, x_attrs, y_attrs, None, threads)
+    build_family(db, relation, x_attrs, y_attrs, threads)
 }
 
 /// Shared implementation: groups rows by X and partitions each group's
@@ -166,7 +153,6 @@ fn build_family(
     relation: &str,
     x_attrs: &[&str],
     y_attrs: &[&str],
-    level_cap: Option<usize>,
     threads: usize,
 ) -> Result<TemplateFamily> {
     let (x_idx, _) = resolve_attrs(db, relation, x_attrs)?;
@@ -206,14 +192,11 @@ fn build_family(
             (key, levels)
         });
 
-    let mut num_levels = partitions
+    let num_levels = partitions
         .iter()
         .map(|(_, levels)| levels.len())
         .max()
         .unwrap_or(1);
-    if let Some(cap) = level_cap {
-        num_levels = num_levels.min(cap.max(1));
-    }
 
     // per-level representative tables are independent — assemble them across
     // threads too
@@ -298,7 +281,7 @@ mod tests {
     #[test]
     fn build_at_creates_one_family_per_relation() {
         let db = poi_db(40);
-        let families = build_at(&db, &AtOptions::default()).unwrap();
+        let families = build_at(&db).unwrap();
         assert_eq!(families.len(), 1);
         let f = &families[0];
         assert!(f.is_full_relation());
@@ -311,13 +294,6 @@ mod tests {
         // by ~2|D_R| for perfectly binary levels; our last level can repeat
         // the full relation once more)
         assert!(f.stored_tuples() <= 3 * 40 + f.num_levels());
-    }
-
-    #[test]
-    fn at_level_cap_limits_levels() {
-        let db = poi_db(64);
-        let families = build_at(&db, &AtOptions { level_cap: Some(3) }).unwrap();
-        assert!(families[0].num_levels() <= 3);
     }
 
     #[test]
@@ -387,17 +363,17 @@ mod tests {
         let f = build_extended(&db, "poi", &["city"], &["price"]).unwrap();
         assert_eq!(f.num_levels(), 1);
         assert_eq!(f.levels[0].stored_tuples(), 0);
-        let at = build_at(&db, &AtOptions::default()).unwrap();
+        let at = build_at(&db).unwrap();
         assert_eq!(at[0].levels[0].stored_tuples(), 0);
     }
 
     #[test]
     fn threaded_builds_are_identical_to_sequential() {
         let db = poi_db(150);
-        let seq_at = build_at(&db, &AtOptions::default()).unwrap();
+        let seq_at = build_at(&db).unwrap();
         let seq_ext = build_extended(&db, "poi", &["type", "city"], &["price", "address"]).unwrap();
         for threads in [2, 4, 16] {
-            let par_at = build_at_threaded(&db, &AtOptions::default(), threads).unwrap();
+            let par_at = build_at_threaded(&db, threads).unwrap();
             assert_eq!(par_at, seq_at, "A_t differs at {threads} threads");
             let par_ext = build_extended_threaded(
                 &db,

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use beas_relal::{Database, DatabaseSchema, DistanceKind, Row};
 
-use crate::builder::{build_at_threaded, AtOptions};
+use crate::builder::build_at_threaded;
 use crate::error::{AccessError, Result};
 use crate::family::{FamilyId, TemplateFamily};
 use crate::resource::{BudgetPolicy, ResourceSpec};
@@ -63,16 +63,16 @@ impl Catalog {
     /// Builds a catalog containing the canonical schema `A_t` for `db`
     /// (offline component C1 of Fig. 2). Additional constraints and extended
     /// templates can be added afterwards with [`Catalog::add_family`].
-    pub fn for_database(db: &Database, opts: &AtOptions) -> Result<Self> {
-        Catalog::for_database_threaded(db, opts, 1)
+    pub fn for_database(db: &Database) -> Result<Self> {
+        Catalog::for_database_threaded(db, 1)
     }
 
     /// [`Catalog::for_database`] with the index build spread over up to
     /// `threads` scoped threads (byte-identical result, see
     /// [`build_at_threaded`]).
-    pub fn for_database_threaded(db: &Database, opts: &AtOptions, threads: usize) -> Result<Self> {
+    pub fn for_database_threaded(db: &Database, threads: usize) -> Result<Self> {
         let mut catalog = Catalog::new(db.schema.clone(), db.total_tuples());
-        for family in build_at_threaded(db, opts, threads)? {
+        for family in build_at_threaded(db, threads)? {
             catalog.add_family(family);
         }
         Ok(catalog)
@@ -84,9 +84,7 @@ impl Catalog {
     }
 
     /// Adds an already-shared family and returns its id. Sharing the `Arc`
-    /// lets several catalogs serve the same index without copying it — e.g. a
-    /// cluster coordinator assembling its global planning catalog from the
-    /// families its shard engines built.
+    /// lets several catalogs serve the same index without copying it.
     pub fn add_family_arc(&mut self, family: Arc<TemplateFamily>) -> FamilyId {
         let id = self.families.len();
         let ids = self.by_relation.entry(family.relation.clone()).or_default();
@@ -319,7 +317,7 @@ mod tests {
     #[test]
     fn for_database_builds_at_for_every_relation() {
         let db = small_db();
-        let catalog = Catalog::for_database(&db, &AtOptions::default()).unwrap();
+        let catalog = Catalog::for_database(&db).unwrap();
         assert_eq!(catalog.len(), 2);
         assert_eq!(catalog.db_size, 40);
         assert!(catalog.at_family_for("friend").is_some());
@@ -330,7 +328,7 @@ mod tests {
     #[test]
     fn add_family_and_lookup_by_relation() {
         let db = small_db();
-        let mut catalog = Catalog::for_database(&db, &AtOptions::default()).unwrap();
+        let mut catalog = Catalog::for_database(&db).unwrap();
         let c = build_constraint(&db, "friend", &["pid"], &["fid"]).unwrap();
         let id = catalog.add_family(c);
         assert!(catalog.family(id).unwrap().is_constraint());
@@ -343,7 +341,7 @@ mod tests {
     #[test]
     fn relation_lookups_survive_clones_and_later_families() {
         let db = small_db();
-        let mut catalog = Catalog::for_database(&db, &AtOptions::default()).unwrap();
+        let mut catalog = Catalog::for_database(&db).unwrap();
         let c = catalog.add_family(build_constraint(&db, "friend", &["pid"], &["fid"]).unwrap());
         assert!(catalog.families_for("poi").is_empty());
         assert!(catalog.constraints_for("poi").is_empty());
@@ -371,7 +369,7 @@ mod tests {
     #[test]
     fn budget_scales_with_the_spec() {
         let db = small_db();
-        let catalog = Catalog::for_database(&db, &AtOptions::default()).unwrap();
+        let catalog = Catalog::for_database(&db).unwrap();
         assert_eq!(catalog.budget(&ResourceSpec::Ratio(0.5)).unwrap(), 20);
         assert_eq!(catalog.budget(&ResourceSpec::FULL).unwrap(), 40);
         // tiny non-zero α still allows at least one access
@@ -387,7 +385,7 @@ mod tests {
     #[test]
     fn version_tracks_every_mutation() {
         let db = small_db();
-        let mut catalog = Catalog::for_database(&db, &AtOptions::default()).unwrap();
+        let mut catalog = Catalog::for_database(&db).unwrap();
         let v0 = catalog.version;
         catalog
             .insert_row("friend", &vec![Value::Int(1), Value::Int(77)])
@@ -403,8 +401,8 @@ mod tests {
     #[test]
     fn threaded_catalog_build_is_identical() {
         let db = small_db();
-        let seq = Catalog::for_database(&db, &AtOptions::default()).unwrap();
-        let par = Catalog::for_database_threaded(&db, &AtOptions::default(), 8).unwrap();
+        let seq = Catalog::for_database(&db).unwrap();
+        let par = Catalog::for_database_threaded(&db, 8).unwrap();
         assert_eq!(par.families(), seq.families());
         assert_eq!(par.db_size, seq.db_size);
         assert_eq!(par.version, seq.version);
@@ -413,7 +411,7 @@ mod tests {
     #[test]
     fn insert_row_updates_size_and_every_family() {
         let db = small_db();
-        let mut catalog = Catalog::for_database(&db, &AtOptions::default()).unwrap();
+        let mut catalog = Catalog::for_database(&db).unwrap();
         let c = build_constraint(&db, "friend", &["pid"], &["fid"]).unwrap();
         let cid = catalog.add_family(c);
         let before_size = catalog.db_size;
@@ -432,7 +430,7 @@ mod tests {
     #[test]
     fn insert_row_rejects_bad_relation_or_arity() {
         let db = small_db();
-        let mut catalog = Catalog::for_database(&db, &AtOptions::default()).unwrap();
+        let mut catalog = Catalog::for_database(&db).unwrap();
         assert!(catalog.insert_row("nope", &vec![Value::Int(1)]).is_err());
         assert!(catalog.insert_row("friend", &vec![Value::Int(1)]).is_err());
         assert_eq!(catalog.db_size, 40, "failed inserts must not change |D|");
@@ -441,7 +439,7 @@ mod tests {
     #[test]
     fn insert_rows_validates_the_whole_batch_first() {
         let db = small_db();
-        let mut catalog = Catalog::for_database(&db, &AtOptions::default()).unwrap();
+        let mut catalog = Catalog::for_database(&db).unwrap();
         let batch = vec![
             ("friend".to_string(), vec![Value::Int(1), Value::Int(50)]),
             ("friend".to_string(), vec![Value::Int(1)]), // bad arity
@@ -465,7 +463,7 @@ mod tests {
     #[test]
     fn index_size_report_splits_constraints_and_templates() {
         let db = small_db();
-        let mut catalog = Catalog::for_database(&db, &AtOptions::default()).unwrap();
+        let mut catalog = Catalog::for_database(&db).unwrap();
         let c = build_constraint(&db, "person", &["pid"], &["city"]).unwrap();
         let cid = catalog.add_family(c);
         let report = catalog.index_size_report();

@@ -148,7 +148,7 @@ impl<'a> FetchSession<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{build_constraint, build_extended, AtOptions};
+    use crate::builder::{build_constraint, build_extended};
     use crate::family::WEIGHT_COLUMN;
     use beas_relal::{Attribute, Database, DatabaseSchema, RelationSchema};
 
@@ -175,7 +175,7 @@ mod tests {
             )
             .unwrap();
         }
-        let mut catalog = Catalog::for_database(&db, &AtOptions::default()).unwrap();
+        let mut catalog = Catalog::for_database(&db).unwrap();
         let c = build_constraint(&db, "poi", &["city"], &["type"]).unwrap();
         catalog.add_family(c);
         let t = build_extended(&db, "poi", &["type", "city"], &["price", "address"]).unwrap();

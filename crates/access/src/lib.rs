@@ -51,7 +51,6 @@ pub mod resource;
 
 pub use builder::{
     build_at, build_at_threaded, build_constraint, build_extended, build_extended_threaded,
-    AtOptions,
 };
 pub use catalog::{Catalog, IndexSizeReport};
 pub use error::{AccessError, Result};

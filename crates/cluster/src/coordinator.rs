@@ -1,16 +1,13 @@
-//! The cluster coordinator: query-facing API, catalog assembly, and the
+//! The cluster coordinator: query-facing API, cluster build, and the
 //! scatter-gather driver.
 //!
-//! [`ClusterBuilder::build`] partitions the database round-robin by relation,
-//! builds one full [`Beas`] engine per shard over its partition (offline
-//! component C1 runs where the data is), then assembles the **cluster
-//! catalog**: the shards' template families, `Arc`-shared, re-registered in
-//! the exact order a single node building over the whole database would
-//! produce — `A_t` families in schema order, then each constraint's families
-//! in registration order. Planning over that catalog is therefore
-//! *identical* to single-node planning, which is what makes shard-side
-//! self-planning (no plan serialization) and bit-for-bit answer equality
-//! possible.
+//! [`ClusterBuilder::build`] builds the **cluster catalog** with
+//! [`BeasBuilder`], exactly as a single node does (offline component C1
+//! runs once, over the whole database), and gives each family to the shard
+//! owning its relation: relation `i` of the schema goes to shard
+//! `i % shards`. Planning over that catalog is therefore *identical* to
+//! single-node planning, which is what makes shard-side self-planning (no
+//! plan serialization) and bit-for-bit answer equality possible.
 //!
 //! [`ClusterHandle::answer`] then drives one scatter-gather execution:
 //! budget split (tariff floor + largest-remainder slack, see
@@ -24,12 +21,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use beas_access::{AtOptions, BudgetPolicy, Catalog};
+use beas_access::{BudgetPolicy, Catalog};
 use beas_core::{
     compose_plan_answer_partial, evaluate_plan_leaf, node_keys, AccuracyTarget, Beas, BeasAnswer,
-    BeasQuery, BoundedPlan, ConstraintSpec, ExecOptions, ExecState, ExecutionOutcome, LeafEval,
-    LeafPlan, PlanFragments, Planner, RefinementSchedule, ResourceSpec, TargetedAnswer,
-    DEFAULT_MIN_SHARD_ROWS,
+    BeasBuilder, BeasError, BeasQuery, BoundedPlan, ConstraintSpec, ExecOptions, ExecState,
+    ExecutionOutcome, LeafEval, LeafPlan, PlanFragments, Planner, RefinementSchedule, ResourceSpec,
+    TargetedAnswer,
 };
 use beas_relal::{Database, DatabaseSchema};
 use beas_serve::{query_from_json, query_to_json, Json};
@@ -37,7 +34,6 @@ use beas_serve::{query_from_json, query_to_json, Json};
 use crate::budget::split_budget;
 use crate::error::{ClusterError, Result, ShardFailure};
 use crate::metrics::{serve_metrics, ClusterMetrics, MetricsServer};
-use crate::partition::Partitioning;
 use crate::protocol;
 use crate::shard::ShardNode;
 use crate::transport::{InProcessTransport, ShardTransport};
@@ -123,17 +119,13 @@ pub struct OutageReport {
     pub unspent_share: usize,
 }
 
-/// Builds a cluster: N shard engines over a relation partitioning plus the
-/// coordinator handle.
+/// Builds a cluster: the single-node catalog, its families spread over N
+/// shard nodes by relation, plus the coordinator handle.
 #[derive(Debug)]
 pub struct ClusterBuilder {
-    db: Database,
+    /// Offline component C1, configured exactly as for a single node.
+    engine: BeasBuilder,
     shards: usize,
-    constraints: Vec<ConstraintSpec>,
-    threads: Option<usize>,
-    min_shard_rows: usize,
-    policy: BudgetPolicy,
-    options: AtOptions,
     retry: RetryPolicy,
     degraded: DegradedPolicy,
 }
@@ -142,13 +134,8 @@ impl ClusterBuilder {
     /// A builder over `db` with `shards` shard nodes.
     pub fn new(db: Database, shards: usize) -> Self {
         ClusterBuilder {
-            db,
+            engine: Beas::builder(db),
             shards,
-            constraints: Vec::new(),
-            threads: None,
-            min_shard_rows: DEFAULT_MIN_SHARD_ROWS,
-            policy: BudgetPolicy::default(),
-            options: AtOptions::default(),
             retry: RetryPolicy::default(),
             degraded: DegradedPolicy::default(),
         }
@@ -157,39 +144,34 @@ impl ClusterBuilder {
     /// Registers an access constraint (owned by the shard owning its
     /// relation).
     pub fn constraint(mut self, spec: ConstraintSpec) -> Self {
-        self.constraints.push(spec);
+        self.engine = self.engine.constraint(spec);
         self
     }
 
     /// Registers several constraints in order.
     pub fn constraints<I: IntoIterator<Item = ConstraintSpec>>(mut self, specs: I) -> Self {
-        self.constraints.extend(specs);
+        self.engine = self.engine.constraints(specs);
         self
     }
 
-    /// Per-shard execution threads (defaults to available parallelism, like
+    /// Threads for the catalog build and for every shard's and the
+    /// coordinator's leaf evaluation (defaults to available parallelism, like
     /// a single-node engine).
     pub fn num_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
+        self.engine = self.engine.num_threads(threads);
         self
     }
 
     /// Minimum sharded-atom size for parallel leaf evaluation (default
-    /// [`DEFAULT_MIN_SHARD_ROWS`]; every shard engine is built with it).
+    /// [`DEFAULT_MIN_SHARD_ROWS`](beas_core::DEFAULT_MIN_SHARD_ROWS)).
     pub fn min_shard_rows(mut self, rows: usize) -> Self {
-        self.min_shard_rows = rows.max(1);
+        self.engine = self.engine.min_shard_rows(rows);
         self
     }
 
     /// The cluster-wide budget policy.
     pub fn budget_policy(mut self, policy: BudgetPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Access-template build options (propagated to every shard).
-    pub fn at_options(mut self, options: AtOptions) -> Self {
-        self.options = options;
+        self.engine = self.engine.budget_policy(policy);
         self
     }
 
@@ -206,92 +188,54 @@ impl ClusterBuilder {
         self
     }
 
-    /// Builds the shard engines, assembles the cluster catalog and returns
+    /// Builds the catalog once over the whole database, exactly as a single
+    /// node does, hands each family to the shard owning its relation
+    /// (relation `i` of the schema goes to shard `i % shards`), and returns
     /// the coordinator handle (in-process transport).
     pub fn build(self) -> Result<ClusterHandle> {
-        let schema = self.db.schema.clone();
-        let total_tuples = self.db.total_tuples();
-        let partitioning = Partitioning::round_robin(&schema, self.shards)?;
-        let threads = self.threads.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
-
-        // offline C1, per shard: a full engine over the shard's partition,
-        // with the constraints whose relations it owns (registration order
-        // preserved within each shard)
-        let mut engines: Vec<Beas> = Vec::with_capacity(self.shards);
-        let mut partition_sizes: Vec<usize> = Vec::with_capacity(self.shards);
-        for shard in 0..self.shards {
-            let sub = partitioning.sub_database(&self.db, shard)?;
-            partition_sizes.push(sub.total_tuples());
-            let mut owned_specs: Vec<ConstraintSpec> = Vec::new();
-            for spec in &self.constraints {
-                if partitioning.owner_of(&schema, &spec.relation)? == shard {
-                    owned_specs.push(spec.clone());
-                }
-            }
-            engines.push(
-                Beas::builder(sub)
-                    .constraints(owned_specs)
-                    .num_threads(threads)
-                    .min_shard_rows(self.min_shard_rows)
-                    .budget_policy(self.policy)
-                    .at_options(self.options.clone())
-                    .build()?,
-            );
+        let shards = self.shards;
+        if shards == 0 {
+            return Err(ClusterError::Config(
+                "a cluster needs at least one shard".to_string(),
+            ));
         }
+        let engine = self.engine.build()?;
+        let catalog = engine.catalog();
+        let (threads, min_shard_rows) = (engine.num_threads(), engine.min_shard_rows());
 
-        // assemble the cluster catalog in canonical single-node order,
-        // Arc-sharing each shard's families, and record family ownership
-        let shard_catalogs: Vec<Arc<Catalog>> = engines.iter().map(|e| e.catalog()).collect();
-        let mut catalog = Catalog::new(schema.clone(), total_tuples);
-        catalog.policy = self.policy;
-        let mut family_owner: Vec<usize> = Vec::new();
-        // A_t families, one per relation in schema order
-        for (rel_idx, rel) in schema.relations.iter().enumerate() {
-            let shard = partitioning.owner_of_relation(rel_idx)?;
-            let fid = shard_catalogs[shard]
-                .at_family_for(&rel.name)
-                .ok_or_else(|| {
-                    ClusterError::Config(format!(
-                        "shard {shard} built no A_t family for `{}`",
-                        rel.name
-                    ))
-                })?;
-            catalog.add_family_arc(Arc::clone(shard_catalogs[shard].family_arc(fid)?));
-            family_owner.push(shard);
+        let db = engine.database();
+        let relations = &catalog.schema.relations;
+        let mut partition_sizes = vec![0usize; shards];
+        for (i, rel) in relations.iter().enumerate() {
+            partition_sizes[i % shards] += db.relation(&rel.name).map_err(BeasError::from)?.len();
         }
-        // constraint families in registration order; each shard's catalog
-        // lists its spec families after its A_t block, in the same order
-        let mut cursors: Vec<usize> = (0..self.shards)
-            .map(|s| partitioning.owned_relations(s).len())
-            .collect();
-        for spec in &self.constraints {
-            let shard = partitioning.owner_of(&schema, &spec.relation)?;
-            for _ in 0..families_per_spec(&schema, spec)? {
-                let fid = cursors[shard];
-                cursors[shard] += 1;
-                catalog.add_family_arc(Arc::clone(shard_catalogs[shard].family_arc(fid)?));
-                family_owner.push(shard);
-            }
-        }
-        debug_assert_eq!(
-            catalog.len(),
-            shard_catalogs.iter().map(|c| c.len()).sum::<usize>()
-        );
+        let family_owner = catalog
+            .families()
+            .iter()
+            .map(|f| {
+                relations
+                    .iter()
+                    .position(|r| r.name == f.relation)
+                    .map(|i| i % shards)
+                    .ok_or_else(|| {
+                        ClusterError::Config(format!("family on unknown relation `{}`", f.relation))
+                    })
+            })
+            .collect::<Result<Vec<usize>>>()?;
 
-        let catalog = Arc::new(catalog);
-        let nodes: Vec<Arc<ShardNode>> = engines
-            .into_iter()
-            .enumerate()
-            .map(|(shard, engine)| {
+        let nodes: Vec<Arc<ShardNode>> = (0..shards)
+            .map(|shard| {
                 let owned: Vec<bool> = family_owner.iter().map(|&o| o == shard).collect();
-                Arc::new(ShardNode::new(shard, engine, Arc::clone(&catalog), owned))
+                Arc::new(ShardNode::new(
+                    shard,
+                    Arc::clone(&catalog),
+                    owned,
+                    threads,
+                    min_shard_rows,
+                ))
             })
             .collect();
-        let metrics = Arc::new(ClusterMetrics::new(self.shards));
+        let metrics = Arc::new(ClusterMetrics::new(shards));
         let transport: Arc<dyn ShardTransport> = Arc::new(InProcessTransport::new(nodes.clone()));
         Ok(ClusterHandle {
             catalog,
@@ -300,31 +244,13 @@ impl ClusterBuilder {
             family_owner,
             partition_sizes,
             threads,
-            min_shard_rows: self.min_shard_rows,
+            min_shard_rows,
             metrics,
             retry: self.retry,
             degraded: self.degraded,
             next_session: AtomicU64::new(1),
         })
     }
-}
-
-/// Number of families `BeasBuilder::build` derives from one constraint spec:
-/// the constraint itself, plus (when extending) the multi-resolution
-/// template on `X → Y` and — if attributes remain — the derived template on
-/// `X ∪ Y → rest`.
-fn families_per_spec(schema: &DatabaseSchema, spec: &ConstraintSpec) -> Result<usize> {
-    if !spec.extend {
-        return Ok(1);
-    }
-    let rel = schema
-        .relation(&spec.relation)
-        .map_err(beas_core::BeasError::from)?;
-    let rest = rel
-        .attr_names()
-        .into_iter()
-        .any(|a| !spec.x.contains(&a) && !spec.y.contains(&a));
-    Ok(if rest { 3 } else { 2 })
 }
 
 /// The accounting block of an `open` or `fetch` response (see
@@ -418,7 +344,8 @@ impl ClusterHandle {
         &self.catalog.schema
     }
 
-    /// Per-shard partition sizes (tuples).
+    /// Per-shard partition sizes: the tuples of the relations each shard
+    /// owns.
     pub fn partition_sizes(&self) -> &[usize] {
         &self.partition_sizes
     }
@@ -445,16 +372,6 @@ impl ClusterHandle {
     /// The current shard transport.
     pub fn transport(&self) -> &Arc<dyn ShardTransport> {
         &self.transport
-    }
-
-    /// Replaces the per-shard-call retry discipline.
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
-    }
-
-    /// Replaces the degradation policy.
-    pub fn set_degraded_policy(&mut self, degraded: DegradedPolicy) {
-        self.degraded = degraded;
     }
 
     /// Answers `query` under `spec` with one scatter-gather execution.
@@ -1105,6 +1022,7 @@ impl std::fmt::Debug for ClusterSession<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use beas_access::TemplateFamily;
     use beas_relal::{
         AggFunc, Attribute, Database, DatabaseSchema, RelationSchema, SpcQueryBuilder, Value,
     };
@@ -1219,18 +1137,54 @@ mod tests {
         assert_eq!(a.budget, b.budget);
     }
 
+    /// `TemplateFamily`'s `==` with representatives compared as Debug text:
+    /// `visit`'s NaN spends make `==` false on identical levels.
+    fn assert_same_family(a: &TemplateFamily, b: &TemplateFamily) {
+        assert_eq!(
+            (&a.relation, &a.x, &a.y, a.from_constraint, a.num_levels()),
+            (&b.relation, &b.x, &b.y, b.from_constraint, b.num_levels())
+        );
+        for (la, lb) in a.levels.iter().zip(&b.levels) {
+            assert_eq!((la.n, &la.resolution), (lb.n, &lb.resolution));
+            let mut keys = la.xkeys();
+            keys.sort();
+            let mut other = lb.xkeys();
+            other.sort();
+            assert_eq!(keys, other);
+            for key in &keys {
+                assert_eq!(
+                    format!("{:?}", la.reps_for(key)),
+                    format!("{:?}", lb.reps_for(key))
+                );
+            }
+        }
+    }
+
     #[test]
     fn cluster_catalog_mirrors_single_node_layout() {
-        let (cluster, single) = cluster_and_single(3);
-        assert_eq!(cluster.catalog().len(), single.catalog().len());
-        for (c, s) in cluster
-            .catalog()
-            .families()
-            .iter()
-            .zip(single.catalog().families().iter())
-        {
-            assert_eq!(c.relation, s.relation);
-            assert_eq!(c.levels.len(), s.levels.len());
+        for shards in 1..=4 {
+            let (cluster, single) = cluster_and_single(shards);
+            let families = cluster.catalog().families();
+            assert_eq!(families.len(), single.catalog().len(), "{shards} shards");
+            let relations = &cluster.schema().relations;
+            for (f, (c, s)) in families
+                .iter()
+                .zip(single.catalog().families().iter())
+                .enumerate()
+            {
+                // the same family, levels included, at the same id
+                assert_same_family(c, s);
+                // served by exactly the shard owning its relation
+                let owner = relations.iter().position(|r| r.name == c.relation).unwrap() % shards;
+                for node in cluster.nodes() {
+                    assert_eq!(node.owns(f), node.shard() == owner, "family {f}");
+                }
+            }
+            assert_eq!(
+                cluster.partition_sizes().iter().sum::<usize>(),
+                single.database().total_tuples(),
+                "{shards} shards"
+            );
         }
     }
 
@@ -1501,7 +1455,7 @@ mod tests {
         let inner = Arc::clone(cluster.transport());
         let faulty = Arc::new(FaultInjectingTransport::new(inner, seed, rates));
         cluster.set_transport(Arc::clone(&faulty) as Arc<dyn ShardTransport>);
-        cluster.set_retry_policy(RetryPolicy::fast());
+        cluster.retry = RetryPolicy::fast();
         (cluster, faulty, single)
     }
 
@@ -1516,11 +1470,11 @@ mod tests {
             delay: 0,
         };
         let (mut cluster, faulty, single) = flaky_cluster(3, 0xC0FFEE, rates);
-        cluster.set_retry_policy(RetryPolicy {
+        cluster.retry = RetryPolicy {
             attempts: 8,
             base_backoff: Duration::ZERO,
             deadline: Duration::from_secs(2),
-        });
+        };
         for query in [
             single_atom_query(cluster.schema()),
             join_query(cluster.schema()),
@@ -1581,7 +1535,7 @@ mod tests {
     #[test]
     fn dead_shard_yields_an_honest_partial_answer_under_partial_policy() {
         let (mut cluster, faulty, single) = flaky_cluster(3, 2, FaultRates::uniform(0));
-        cluster.set_degraded_policy(DegradedPolicy::PartialAnswer);
+        cluster.degraded = DegradedPolicy::PartialAnswer;
         let query = join_query(cluster.schema());
         let healthy = single.answer(&query, ResourceSpec::FULL).unwrap();
         faulty.set_down(0, true);
@@ -1620,7 +1574,7 @@ mod tests {
         // away, but no fetch node or leaf is lost — the answer must stay
         // bit-for-bit exact and non-partial (outage still reported)
         let (mut cluster, faulty, single) = flaky_cluster(3, 3, FaultRates::uniform(0));
-        cluster.set_degraded_policy(DegradedPolicy::PartialAnswer);
+        cluster.degraded = DegradedPolicy::PartialAnswer;
         let query = single_atom_query(cluster.schema());
         let healthy = single.answer(&query, ResourceSpec::FULL).unwrap();
         let owner = cluster.owner_of_family(1).unwrap(); // poi is relation 1
@@ -1746,8 +1700,8 @@ mod tests {
         // and shard 1 is opened but never fetched from, so its cumulative
         // totals from step 1 can only come from the `open` response.
         let (mut cluster, single) = cluster_and_single(3);
-        cluster.set_degraded_policy(DegradedPolicy::PartialAnswer);
-        cluster.set_retry_policy(RetryPolicy::fast());
+        cluster.degraded = DegradedPolicy::PartialAnswer;
+        cluster.retry = RetryPolicy::fast();
         let recording = Recording::install(&mut cluster);
         let query = join_query(cluster.schema());
         let schedule = RefinementSchedule::tuples(&[8, 72]).unwrap();
@@ -1838,7 +1792,7 @@ mod tests {
     #[test]
     fn a_corrupt_frame_is_retried_to_the_single_node_answer() {
         let (mut cluster, single) = cluster_and_single(3);
-        cluster.set_retry_policy(RetryPolicy::fast());
+        cluster.retry = RetryPolicy::fast();
         let query = join_query(cluster.schema());
         let budget = cluster.catalog().budget(&ResourceSpec::FULL).unwrap();
         let plan = Planner::new(cluster.catalog())
@@ -1860,8 +1814,8 @@ mod tests {
     #[test]
     fn a_shard_whose_every_frame_is_corrupt_degrades_instead_of_failing() {
         let (mut cluster, _single) = cluster_and_single(3);
-        cluster.set_retry_policy(RetryPolicy::fast());
-        cluster.set_degraded_policy(DegradedPolicy::PartialAnswer);
+        cluster.retry = RetryPolicy::fast();
+        cluster.degraded = DegradedPolicy::PartialAnswer;
         let query = join_query(cluster.schema());
         let budget = cluster.catalog().budget(&ResourceSpec::FULL).unwrap();
         let plan = Planner::new(cluster.catalog())
@@ -1880,7 +1834,7 @@ mod tests {
         assert!(failure.last_error.contains("checksum"), "{failure}");
 
         // under the default policy the same shard fails the query, with context
-        cluster.set_degraded_policy(DegradedPolicy::Fail);
+        cluster.degraded = DegradedPolicy::Fail;
         let err = cluster.answer(&query, ResourceSpec::FULL).unwrap_err();
         assert!(matches!(err, ClusterError::ShardFailed(_)), "{err}");
     }
@@ -1925,7 +1879,7 @@ mod tests {
     fn a_hung_close_delays_the_answer_by_at_most_the_retry_deadline() {
         let (mut cluster, single) = cluster_and_single(3);
         let policy = RetryPolicy::fast();
-        cluster.set_retry_policy(policy);
+        cluster.retry = policy;
         let inner = Arc::clone(cluster.transport());
         cluster.set_transport(Arc::new(StallClose { inner, shard: 1 }));
         let query = join_query(cluster.schema());

@@ -11,14 +11,13 @@
 //!
 //! * A **coordinator** ([`ClusterHandle`]) owns the query-facing API
 //!   ([`ClusterHandle::answer`], [`ClusterHandle::session`]) and the
-//!   assembled cluster catalog.
-//! * N **shard nodes** ([`ShardNode`]), each wrapping a full single-node
-//!   engine over a partition of the data ([`Partitioning::round_robin`]
-//!   assigns whole relations to shards). Each shard builds its own access
-//!   templates — offline component C1 runs where the data lives — and the
-//!   coordinator re-registers those `Arc`-shared families in canonical
-//!   single-node order, so planning over the cluster catalog is *identical*
-//!   to single-node planning.
+//!   cluster catalog. [`ClusterBuilder`] builds that catalog once with
+//!   [`BeasBuilder`](beas_core::BeasBuilder), exactly as a single node does
+//!   (offline component C1 runs once, over the whole database), so planning
+//!   over it is *identical* to single-node planning.
+//! * N **shard nodes** ([`ShardNode`]) share the catalog. Each serves the
+//!   families of the relations it owns — relation `i` of the schema goes to
+//!   shard `i % shards` — and refuses fetches against any other.
 //! * Control messages use `beas-serve`'s JSON wire encoding, and fragments
 //!   and leaf results travel inside them as checksummed binary column frames
 //!   (see [`crate::protocol`]); [`InProcessTransport`] round-trips every message through its serialized
@@ -116,7 +115,6 @@ pub mod budget;
 pub mod coordinator;
 pub mod error;
 pub mod metrics;
-pub mod partition;
 pub mod protocol;
 pub mod shard;
 pub mod tcp;
@@ -129,7 +127,6 @@ pub use coordinator::{
 };
 pub use error::{ClusterError, Result, ShardFailure};
 pub use metrics::{serve_metrics, ClusterMetrics, MetricsServer};
-pub use partition::Partitioning;
 pub use shard::ShardNode;
 pub use tcp::{ShardServer, TcpShardTransport};
 pub use transport::{FaultInjectingTransport, FaultRates, InProcessTransport, ShardTransport};

@@ -5,13 +5,13 @@
 //! Five operations, all request/response JSON objects tagged by `"op"`:
 //!
 //! * `open` — `{op, session, budget, share, query}`: the shard plans the
-//!   query itself against its copy of the cluster catalog (planning is
+//!   query itself against the shared cluster catalog (planning is
 //!   deterministic, so no plan ever crosses the wire) and executes it with
-//!   its own engine's thread count and parallel-leaf threshold. It answers
+//!   the cluster's thread count and parallel-leaf threshold. It answers
 //!   `{ok, shard, tariff, nodes, leaves}` plus the accounting block — the
 //!   coordinator cross-checks the plan shape against its own.
 //! * `fetch` — `{op, session, node, keys}`: run one fetch node's lookup
-//!   against the shard's partition under its budget share; answers
+//!   against a family the shard owns, under its budget share; answers
 //!   `{ok, frame}` — the fragment as a [frame](relation_to_frame) — plus
 //!   the accounting block.
 //!   A `fetch` retried after a lost response is served from the session's

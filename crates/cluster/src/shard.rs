@@ -1,11 +1,11 @@
-//! A shard node: one full [`Beas`] engine over a partition of the data, plus
-//! the session machinery serving the coordinator's `open`/`fetch`/`leaf`
-//! protocol against the shared cluster catalog.
+//! A shard node: the session machinery serving the coordinator's
+//! `open`/`fetch`/`leaf` protocol against the shared cluster catalog.
 //!
-//! A shard never sees another shard's data: it refuses fetches against
-//! families it does not own, and it evaluates a leaf only when every atom of
-//! that leaf completes from its own families. Budget enforcement is local —
-//! each open session enforces the share the coordinator allocated, through
+//! Every shard holds the whole catalog (one `Arc`), because it plans each
+//! query for itself; it serves only the families it owns. It refuses
+//! fetches against any other family, and it evaluates a leaf only when every
+//! atom of that leaf completes from its own families. Budget enforcement is
+//! local — each open session enforces the share the coordinator allocated, through
 //! the same [`FetchSession`] accounting a single node uses.
 //!
 //! ## Fault tolerance
@@ -18,18 +18,16 @@
 //! step).
 //! An unknown session token answers the machine-readable
 //! [`NO_SESSION`](crate::protocol::NO_SESSION) code so the coordinator can
-//! re-establish affinity by re-opening. Idle sessions are **evicted** after
-//! [`ShardNode::set_idle_ttl`] of inactivity, bounding the memory a vanished
-//! coordinator can pin.
+//! re-establish affinity by re-opening. [`ShardNode::evict_idle`] drops
+//! sessions idle for longer than a given time, bounding the memory a
+//! vanished coordinator can pin.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use beas_access::{Catalog, FamilyId, FetchSession};
-use beas_core::{
-    evaluate_plan_leaf, Beas, BoundedPlan, ExecOptions, ExecState, PlanFragments, Planner,
-};
+use beas_core::{evaluate_plan_leaf, BoundedPlan, ExecOptions, ExecState, PlanFragments, Planner};
 use beas_relal::Relation;
 use beas_serve::{parse_json, query_from_json, Json};
 
@@ -65,38 +63,40 @@ struct ShardSession {
 #[derive(Debug)]
 pub struct ShardNode {
     shard: usize,
-    engine: Beas,
     catalog: Arc<Catalog>,
     /// `owned[f]` — whether this shard owns (cluster-wide) family `f`.
     owned: Vec<bool>,
+    /// Threads for leaf evaluation.
+    threads: usize,
+    /// Parallel-leaf threshold for leaf evaluation.
+    min_shard_rows: usize,
     sessions: Mutex<HashMap<u64, ShardSession>>,
-    /// Sessions idle longer than this are dropped on the next request.
-    idle_ttl: Mutex<Option<Duration>>,
 }
 
 impl ShardNode {
-    /// Wraps a partition engine as shard `shard` of a cluster whose
-    /// assembled catalog is `catalog`; `owned` flags the global family ids
-    /// this shard's engine materialized.
-    pub(crate) fn new(shard: usize, engine: Beas, catalog: Arc<Catalog>, owned: Vec<bool>) -> Self {
+    /// Shard `shard` of a cluster whose catalog is `catalog`; `owned` flags
+    /// the family ids this shard serves. Leaves evaluate over `threads`
+    /// threads with the parallel-leaf threshold `min_shard_rows`.
+    pub(crate) fn new(
+        shard: usize,
+        catalog: Arc<Catalog>,
+        owned: Vec<bool>,
+        threads: usize,
+        min_shard_rows: usize,
+    ) -> Self {
         ShardNode {
             shard,
-            engine,
             catalog,
             owned,
+            threads,
+            min_shard_rows,
             sessions: Mutex::new(HashMap::new()),
-            idle_ttl: Mutex::new(None),
         }
     }
 
     /// This node's shard index.
     pub fn shard(&self) -> usize {
         self.shard
-    }
-
-    /// The partition engine (a full [`Beas`] over this shard's relations).
-    pub fn engine(&self) -> &Beas {
-        &self.engine
     }
 
     /// Whether this shard owns (cluster-wide) family `family`.
@@ -109,17 +109,11 @@ impl ShardNode {
         self.sessions.lock().expect("sessions poisoned").len()
     }
 
-    /// Sets (or clears) the idle TTL: sessions that served no request for
-    /// longer are evicted on the next request to the node. A coordinator
-    /// whose retried call then answers [`protocol::NO_SESSION`] re-opens
-    /// transparently, so eviction trades shard memory for one re-open
-    /// round-trip — safe at any TTL.
-    pub fn set_idle_ttl(&self, ttl: Option<Duration>) {
-        *self.idle_ttl.lock().expect("idle_ttl poisoned") = ttl;
-    }
-
     /// Evicts sessions idle for longer than `ttl`, returning how many were
-    /// dropped and how many tuples of fragment/leaf memory they held.
+    /// dropped and how many tuples of fragment/leaf memory they held. A
+    /// coordinator whose retried call then answers [`protocol::NO_SESSION`]
+    /// re-opens transparently, so eviction trades shard memory for one
+    /// re-open round-trip.
     pub fn evict_idle(&self, ttl: Duration) -> (usize, usize) {
         let mut sessions = self.sessions.lock().expect("sessions poisoned");
         let mut dropped = 0;
@@ -139,9 +133,6 @@ impl ShardNode {
     /// Handles one protocol request, never panicking: errors become
     /// `{ok: false, error}` responses.
     pub fn handle(&self, request: &Json) -> Json {
-        if let Some(ttl) = *self.idle_ttl.lock().expect("idle_ttl poisoned") {
-            self.evict_idle(ttl);
-        }
         match self.dispatch(request) {
             Ok(response) => response,
             Err(e) => protocol::err_response(&e.to_string()),
@@ -189,8 +180,8 @@ impl ShardNode {
         let (tariff, nodes, leaves) = (plan.tariff, plan.fetch.nodes.len(), plan.leaves.len());
         let fragments = PlanFragments::for_plan(&plan);
         let options = ExecOptions::budgeted(share)
-            .with_threads(self.engine.num_threads())
-            .with_min_shard_rows(self.engine.min_shard_rows());
+            .with_threads(self.threads)
+            .with_min_shard_rows(self.min_shard_rows);
         let mut sessions = self.sessions.lock().expect("sessions poisoned");
         // re-open = next refinement step (or an affinity-restoring retry):
         // keep the fragment/leaf state with its cumulative counters, swap

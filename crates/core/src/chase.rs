@@ -420,7 +420,7 @@ fn select_completion_family(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use beas_access::{build_constraint, build_extended, AtOptions, Catalog};
+    use beas_access::{build_constraint, build_extended, Catalog};
     use beas_relal::{
         Attribute, CompareOp, Database, DatabaseSchema, RelationSchema, SpcQueryBuilder, Value,
     };
@@ -467,7 +467,7 @@ mod tests {
     }
 
     fn full_catalog(db: &Database) -> Catalog {
-        let mut catalog = Catalog::for_database(db, &AtOptions::default()).unwrap();
+        let mut catalog = Catalog::for_database(db).unwrap();
         catalog.add_family(build_constraint(db, "friend", &["pid"], &["fid"]).unwrap());
         catalog.add_family(build_constraint(db, "person", &["pid"], &["city"]).unwrap());
         catalog.add_family(
@@ -574,7 +574,7 @@ mod tests {
     #[test]
     fn chase_with_only_at_catalog_still_completes() {
         let db = example_db(100);
-        let catalog = Catalog::for_database(&db, &AtOptions::default()).unwrap();
+        let catalog = Catalog::for_database(&db).unwrap();
         let q = q1(&db);
         let mut plan = FetchPlan::default();
         let outcome = chase_leaf(&q, 0, &catalog, &mut plan, 50, 0).unwrap();

@@ -13,8 +13,8 @@
 //! ```
 //!
 //! The engine is *session-oriented and concurrent*: it is constructed through
-//! the fluent [`BeasBuilder`] (constraints, `A_t` options, budget policy,
-//! thread count), answers queries under a typed [`ResourceSpec`], hands out
+//! the fluent [`BeasBuilder`] (constraints, budget policy, thread count),
+//! answers queries under a typed [`ResourceSpec`], hands out
 //! re-usable [`PreparedQuery`] handles that cache bounded plans per budget
 //! (amortizing C3 across repeated requests), and maintains its indices
 //! incrementally under inserts ([`Beas::insert_row`], [`Beas::apply_update`]
@@ -30,7 +30,7 @@
 //!   lock — and run entirely against that immutable snapshot. They are never
 //!   blocked by an in-progress update batch, and each request sees one
 //!   consistent `(database, catalog)` pair.
-//! * **Writers** (`insert_row`, `apply_update`, `add_family`, all `&self`)
+//! * **Writers** (`insert_row`, `apply_update`, both `&self`)
 //!   serialize among themselves on a writer mutex, apply the batch to a
 //!   *private copy-on-write clone* of the state, and publish it with one
 //!   atomic snapshot swap (epoch style). A reader holding the previous
@@ -44,10 +44,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-use beas_access::{
-    build_constraint, build_extended_threaded, AtOptions, BudgetPolicy, Catalog, FamilyId,
-    ResourceSpec,
-};
+use beas_access::{build_constraint, build_extended_threaded, BudgetPolicy, Catalog, ResourceSpec};
 use beas_relal::{Database, DatabaseSchema, Relation, Row};
 use beas_slo::AccuracyTarget;
 use beas_store::{Store, StoreOptions};
@@ -218,7 +215,6 @@ impl UpdateBatch {
 pub struct BeasBuilder {
     db: Arc<Database>,
     constraints: Vec<ConstraintSpec>,
-    options: AtOptions,
     policy: BudgetPolicy,
     threads: Option<usize>,
     min_shard_rows: usize,
@@ -234,7 +230,6 @@ impl BeasBuilder {
         BeasBuilder {
             db: db.into(),
             constraints: Vec::new(),
-            options: AtOptions::default(),
             policy: BudgetPolicy::default(),
             threads: None,
             min_shard_rows: DEFAULT_MIN_SHARD_ROWS,
@@ -299,12 +294,6 @@ impl BeasBuilder {
         self
     }
 
-    /// Sets the `A_t` construction options (e.g. the level cap).
-    pub fn at_options(mut self, options: AtOptions) -> Self {
-        self.options = options;
-        self
-    }
-
     /// Sets the budget policy used to resolve [`ResourceSpec`]s.
     pub fn budget_policy(mut self, policy: BudgetPolicy) -> Self {
         self.policy = policy;
@@ -318,7 +307,7 @@ impl BeasBuilder {
     pub fn build(self) -> Result<Beas> {
         let threads = self.threads.unwrap_or_else(default_threads);
         let db = &*self.db;
-        let mut catalog = Catalog::for_database_threaded(db, &self.options, threads)?;
+        let mut catalog = Catalog::for_database_threaded(db, threads)?;
         catalog.policy = self.policy;
         for spec in &self.constraints {
             let x: Vec<&str> = spec.x.iter().map(|s| s.as_str()).collect();
@@ -596,12 +585,6 @@ impl Beas {
         self.snapshot().db
     }
 
-    /// A shared handle to the engine's database (e.g. for accuracy tooling
-    /// that outlives a borrow of the engine). Alias of [`Beas::database`].
-    pub fn database_arc(&self) -> Arc<Database> {
-        self.database()
-    }
-
     /// The current catalog snapshot (access schema + indices).
     pub fn catalog(&self) -> Arc<Catalog> {
         self.snapshot().catalog
@@ -660,19 +643,6 @@ impl Beas {
             replayed_batches: storage.replayed_batches,
             page_ins: storage.page_ins,
         }
-    }
-
-    /// Registers an additional template family and returns its id.
-    pub fn add_family(&self, family: beas_access::TemplateFamily) -> FamilyId {
-        let _writer = self.writer.lock().expect("writer lock poisoned");
-        let snapshot = self.snapshot();
-        let mut catalog = (*snapshot.catalog).clone();
-        let id = catalog.add_family(family);
-        self.publish(EngineSnapshot {
-            db: snapshot.db,
-            catalog: Arc::new(catalog),
-        });
-        id
     }
 
     /// Online component C3: generates the bounded plan and its bound η for a
@@ -995,6 +965,7 @@ mod tests {
     use super::*;
     use crate::accuracy::AccuracyConfig;
     use crate::query::{AggQuery, RaQuery};
+    use beas_access::FamilyId;
     use beas_relal::{
         AggFunc, Attribute, CompareOp, DatabaseSchema, RelationSchema, SpcQueryBuilder, Value,
     };
@@ -1244,12 +1215,9 @@ mod tests {
     fn builder_applies_options_and_policy() {
         let beas = Beas::builder(example_db(200))
             .constraints(constraints())
-            .at_options(AtOptions { level_cap: Some(2) })
             .budget_policy(BudgetPolicy::capped(25))
             .build()
             .unwrap();
-        let at = beas.catalog().at_family_for("poi").unwrap();
-        assert!(beas.catalog().family(at).unwrap().num_levels() <= 2);
         assert_eq!(beas.catalog().budget(&ResourceSpec::FULL).unwrap(), 25);
         let q = hotels_in(&beas.database(), "NYC", 200);
         let answer = beas.answer(&q, ResourceSpec::FULL).unwrap();
@@ -1402,7 +1370,7 @@ mod tests {
         assert_eq!(beas.catalog().db_size, beas.database().total_tuples());
 
         // a freshly rebuilt engine over the same (updated) data
-        let rebuilt = Beas::builder(beas.database_arc())
+        let rebuilt = Beas::builder(beas.database())
             .constraints(constraints())
             .build()
             .unwrap();

@@ -269,7 +269,7 @@ pub fn needed_positions(leaf: &SpcQuery) -> Vec<BTreeSet<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use beas_access::{build_constraint, build_extended, AtOptions};
+    use beas_access::{build_constraint, build_extended};
     use beas_relal::{Attribute, CompareOp, Database, RelationSchema, SpcQueryBuilder};
 
     fn example_db() -> Database {
@@ -316,7 +316,7 @@ mod tests {
     }
 
     fn catalog_for(db: &Database) -> Catalog {
-        let mut catalog = Catalog::for_database(db, &AtOptions::default()).unwrap();
+        let mut catalog = Catalog::for_database(db).unwrap();
         catalog.add_family(build_constraint(db, "friend", &["pid"], &["fid"]).unwrap());
         catalog.add_family(build_constraint(db, "person", &["pid"], &["city"]).unwrap());
         catalog.add_family(

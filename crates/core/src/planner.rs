@@ -640,7 +640,7 @@ fn finite_gain(old: f64, new: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::query::AggQuery;
-    use beas_access::{build_constraint, build_extended, AtOptions};
+    use beas_access::{build_constraint, build_extended};
     use beas_relal::{
         AggFunc, Attribute, Database, DatabaseSchema, RelationSchema, SpcQueryBuilder, Value,
     };
@@ -687,7 +687,7 @@ mod tests {
     }
 
     fn full_catalog(db: &Database) -> Catalog {
-        let mut catalog = Catalog::for_database(db, &AtOptions::default()).unwrap();
+        let mut catalog = Catalog::for_database(db).unwrap();
         catalog.add_family(build_constraint(db, "friend", &["pid"], &["fid"]).unwrap());
         catalog.add_family(build_constraint(db, "person", &["pid"], &["city"]).unwrap());
         catalog.add_family(

@@ -541,7 +541,7 @@ mod tests {
         let engine = {
             let mut db_engine = poi_engine(400);
             // rebuild with a tiny capacity over the same database
-            let db = db_engine.database_arc();
+            let db = db_engine.database();
             db_engine = Beas::builder(db)
                 .constraint(crate::engine::ConstraintSpec::new(
                     "poi",
@@ -565,7 +565,7 @@ mod tests {
             engine.plan_cache_len()
         );
         // zero is clamped
-        let clamped = Beas::builder(engine.database_arc())
+        let clamped = Beas::builder(engine.database())
             .constraint(crate::engine::ConstraintSpec::new(
                 "poi",
                 &["type", "city"],

@@ -594,7 +594,7 @@ pub(crate) fn test_dir(name: &str) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use beas_access::{build_at, AtOptions};
+    use beas_access::build_at;
     use beas_relal::{Attribute, DatabaseSchema, RelationSchema, Value};
 
     fn sample_db() -> Database {
@@ -632,7 +632,7 @@ mod tests {
 
     fn sample_catalog(db: &Database) -> Catalog {
         let mut catalog = Catalog::new(db.schema.clone(), db.total_tuples());
-        for family in build_at(db, &AtOptions::default()).unwrap() {
+        for family in build_at(db).unwrap() {
             catalog.add_family_arc(Arc::new(family));
         }
         catalog.policy = BudgetPolicy {

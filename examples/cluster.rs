@@ -1,7 +1,7 @@
 //! Distributed serving: a 3-node cluster answering under a shared budget.
 //!
-//! Builds a three-relation database, partitions it round-robin across three
-//! shard nodes (one full BEAS engine each), and answers through the
+//! Builds a three-relation database and one catalog over it, gives each
+//! relation's families to one of three shard nodes, and answers through the
 //! coordinator: the total budget is split shard-by-shard (tariff floor +
 //! size-proportional slack), each shard runs its bounded fetches and
 //! single-shard leaves locally, and the coordinator merges — bit-for-bit
@@ -28,8 +28,8 @@ fn main() {
     );
 
     // ---------------------------------------------------------- the cluster
-    // three shard nodes, one relation each; every shard builds its own
-    // access templates over its partition (C1 runs where the data lives)
+    // three shard nodes, one relation each; C1 builds the catalog once, as
+    // a single node does, and each shard serves its relation's families
     let mut cluster = ClusterHandle::builder(db.clone(), 3)
         .constraint(demo_cluster_constraint())
         .build()

@@ -116,7 +116,7 @@ pub use beas_workloads as workloads;
 pub mod prelude {
     pub use beas_access::{
         build_at, build_at_threaded, build_constraint, build_extended, build_extended_threaded,
-        AtOptions, BudgetPolicy, Catalog, FetchSession, ResourceSpec,
+        BudgetPolicy, Catalog, FetchSession, ResourceSpec,
     };
     pub use beas_baselines::{Baseline, BlinkSim, Histo, Sampl};
     pub use beas_cluster::{

@@ -189,7 +189,7 @@ fn inserts_after_build_keep_serving_without_a_rebuild() {
     assert_eq!(incremental.answers.clone().sorted(), truth.clone().sorted());
 
     // a freshly rebuilt engine over the same (updated) data agrees
-    let rebuilt = Beas::builder(engine.database_arc())
+    let rebuilt = Beas::builder(engine.database())
         .constraints(constraints)
         .build()
         .expect("rebuild");

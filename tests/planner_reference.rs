@@ -566,7 +566,7 @@ fn poi_catalog() -> (Database, Catalog, usize) {
         )
         .unwrap();
     }
-    let mut catalog = Catalog::for_database(&db, &AtOptions::default()).unwrap();
+    let mut catalog = Catalog::for_database(&db).unwrap();
     let price_only: TemplateFamily = build_extended(&db, "poi", &["type"], &["price"]).unwrap();
     assert!(price_only.num_levels() > 2);
     let id = catalog.add_family(price_only);

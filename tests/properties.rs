@@ -221,7 +221,7 @@ fn incremental_inserts_agree_with_rebuild_and_keep_bounds() {
         assert_eq!(engine.catalog().db_size, base.len() + inserts.len());
 
         // a fresh engine rebuilt over the same (updated) database
-        let rebuilt = Beas::builder(engine.database_arc())
+        let rebuilt = Beas::builder(engine.database())
             .constraint(constraint())
             .build()
             .unwrap();
