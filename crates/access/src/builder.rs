@@ -13,8 +13,6 @@
 //! [`crate::kdtree`] per group, so that the resulting index provably conforms
 //! to every template it serves (`D |= ψ`).
 
-use std::collections::HashMap;
-
 use beas_relal::{Database, DistanceKind, FxHashMap, Value};
 
 use crate::error::{AccessError, Result};
@@ -61,8 +59,8 @@ pub fn build_constraint(
     let rel = db.relation(relation)?;
 
     // X-value → Y-value → (multiplicity, per-attribute sums)
-    type GroupStats = HashMap<Vec<Value>, (u64, Vec<Option<f64>>)>;
-    let mut buckets: HashMap<Vec<Value>, GroupStats> = HashMap::new();
+    type GroupStats = FxHashMap<Vec<Value>, (u64, Vec<Option<f64>>)>;
+    let mut buckets: FxHashMap<Vec<Value>, GroupStats> = FxHashMap::default();
     for r in 0..rel.len() {
         let key: Vec<Value> = x_idx.iter().map(|&i| rel.value_at(r, i)).collect();
         let yval: Vec<Value> = y_idx.iter().map(|&i| rel.value_at(r, i)).collect();
@@ -165,7 +163,7 @@ fn build_family(
     let rel = db.relation(relation)?;
 
     // group Y-projections by X-value (gathered straight off the columns)
-    let mut groups: HashMap<Vec<Value>, Vec<Vec<Value>>> = HashMap::new();
+    let mut groups: FxHashMap<Vec<Value>, Vec<Vec<Value>>> = FxHashMap::default();
     for r in 0..rel.len() {
         let key: Vec<Value> = x_idx.iter().map(|&i| rel.value_at(r, i)).collect();
         let yval: Vec<Value> = y_idx.iter().map(|&i| rel.value_at(r, i)).collect();

@@ -44,7 +44,10 @@ pub const WEIGHT_COLUMN: &str = "__weight";
 /// A representative Y-tuple of an index level, in row form — the conversion
 /// boundary of the columnar level storage, used when building levels and
 /// inspecting them ([`TemplateFamily::lookup`]); fetches bypass it entirely.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality compares `sums` by bit pattern, so a representative summing a
+/// NaN equals its copy.
+#[derive(Debug, Clone)]
 pub struct Rep {
     /// The representative's Y-values.
     pub values: Vec<Value>,
@@ -54,6 +57,16 @@ pub struct Rep {
     /// attributes), enabling exact `sum`/`avg` over groups of represented
     /// tuples.
     pub sums: Vec<Option<f64>>,
+}
+
+impl PartialEq for Rep {
+    fn eq(&self, other: &Self) -> bool {
+        let bits =
+            |sums: &[Option<f64>]| sums.iter().map(|s| s.map(f64::to_bits)).collect::<Vec<_>>();
+        self.values == other.values
+            && self.count == other.count
+            && bits(&self.sums) == bits(&other.sums)
+    }
 }
 
 /// One resolution level of a template family, stored column-oriented (see
@@ -572,11 +585,11 @@ impl Level {
 }
 
 /// Logical equality: same bound, resolution, X-key set and per-key
-/// representative sequences. The physical slot/id layout (which depends on
-/// the bucket iteration order of the build) is deliberately not compared, so
-/// sequential and threaded builds of the same data compare equal — exactly
-/// the map-equality semantics of the previous row-shaped representation
-/// (including its `NaN ≠ NaN` behaviour on sums).
+/// representative sequences, with sums compared by bit pattern (see
+/// [`Rep`]), so a level holding a NaN equals its clone. The physical
+/// slot/id layout (the key order of the build) is deliberately not
+/// compared, so sequential and threaded builds of the same data compare
+/// equal.
 impl PartialEq for Level {
     fn eq(&self, other: &Self) -> bool {
         if self.n != other.n || self.resolution != other.resolution {
@@ -978,6 +991,42 @@ mod tests {
         assert_eq!(f.levels[0].max_resolution(), 10.0);
         assert_eq!(f.levels[1].max_resolution(), 0.0);
         assert!(f.levels[1].is_exact());
+    }
+
+    #[test]
+    fn a_family_summing_nan_and_infinities_equals_its_clone() {
+        use beas_relal::{Attribute, Database, DatabaseSchema, RelationSchema};
+        let schema = DatabaseSchema::new(vec![RelationSchema::new(
+            "visit",
+            vec![Attribute::categorical("city"), Attribute::double("spend")],
+        )]);
+        let mut db = Database::new(schema);
+        for (i, spend) in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 2.5]
+            .into_iter()
+            .cycle()
+            .take(40)
+            .enumerate()
+        {
+            let city = Value::from(["nyc", "la", "chi"][i % 3]);
+            db.insert_row("visit", vec![city, Value::Double(spend)])
+                .unwrap();
+        }
+        let mut families = crate::builder::build_at(&db).unwrap();
+        families
+            .push(crate::builder::build_constraint(&db, "visit", &["city"], &["spend"]).unwrap());
+        families.push(crate::builder::build_extended(&db, "visit", &["city"], &["spend"]).unwrap());
+        for family in &families {
+            let sums_nan = family.levels.iter().any(|level| {
+                level.xkeys().iter().any(|key| {
+                    level
+                        .reps_for(key)
+                        .iter()
+                        .any(|rep| rep.sums.iter().any(|s| s.is_some_and(f64::is_nan)))
+                })
+            });
+            assert!(sums_nan, "{family:?} sums no NaN");
+            assert_eq!(family, &family.clone());
+        }
     }
 
     #[test]

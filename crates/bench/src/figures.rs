@@ -2,7 +2,7 @@
 //!
 //! Every function returns a [`Table`] whose rows mirror the series plotted in
 //! the corresponding figure; the `figures` binary prints them. Putting the
-//! measured tables beside the paper's is ROADMAP item 9.
+//! measured tables beside the paper's is ROADMAP item 10.
 
 use beas_workloads::{airca::airca_lite, tfacc::tfacc_lite, tpch::tpch_lite, Dataset};
 

@@ -25,7 +25,7 @@
 //! The η series of Exp-2 is reported alongside every accuracy figure. Absolute
 //! numbers differ from the paper (synthetic data at laptop scale instead of
 //! 60 GB on EC2); comparing the *shapes* against the paper's findings is
-//! ROADMAP item 9. Serving latency and throughput are measured by one
+//! ROADMAP item 10. Serving latency and throughput are measured by one
 //! instrument only, the standalone benchmark (`benchmark/`, declared by
 //! `BENCHMARK.json`):
 //! `cargo run --release --manifest-path benchmark/Cargo.toml -- --workload W`.

@@ -45,9 +45,9 @@ use crate::transport::{InProcessTransport, ShardTransport};
 /// up to `attempts` times with exponential backoff from `base_backoff` plus
 /// **deterministic jitter** — a splitmix64 hash of (session, shard, attempt),
 /// so a replayed query jitters identically. A shard answering the
-/// [`protocol::NO_SESSION`] code is healed by re-sending the step's `open`
-/// (restoring session affinity after an eviction or shard restart) before
-/// the call is retried.
+/// [`protocol::NO_SESSION`] code is healed by re-sending the request with
+/// the step's `open` attached (restoring session affinity after an eviction
+/// or shard restart).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Maximum attempts per call (≥ 1).
@@ -253,10 +253,10 @@ impl ClusterBuilder {
     }
 }
 
-/// The accounting block of an `open` or `fetch` response (see
-/// [`crate::protocol`]): the coordinator keeps the latest per shard, which is
-/// the shard's exact step accounting whether or not it lives to the end of
-/// the step — billing only changes on `fetch`.
+/// The accounting block of a `fetch` response (see [`crate::protocol`]): the
+/// coordinator keeps the latest per shard, which is the shard's exact step
+/// accounting whether or not it lives to the end of the step — billing only
+/// changes on `fetch`.
 fn step_accounting_of(response: &Json) -> Result<StepStats> {
     Ok(StepStats {
         accessed: protocol::req_usize(response, "billed")?,
@@ -275,7 +275,7 @@ fn splitmix64(seed: u64) -> u64 {
 }
 
 /// This step's accounting, gathered from the shards.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct StepStats {
     /// Tuples billed against this step's shares (fresh + reused).
     accessed: usize,
@@ -285,6 +285,47 @@ struct StepStats {
     fetched_cum: usize,
     /// Cumulative tuples served from the shards' session states.
     reused_cum: usize,
+}
+
+/// The coordinator's side of one session on the shards.
+#[derive(Debug)]
+struct RemoteSession {
+    /// The session token every request carries.
+    id: u64,
+    /// The step being run (1-based): each step's `open` names it, so a
+    /// retried first request does not restart the step on its shard.
+    step: usize,
+    /// Each shard's accounting as of its latest response. A step starts with
+    /// its `accessed`/`fetches` at zero and keeps the session totals, so a
+    /// shard the step does not contact still counts what it fetched before.
+    seen: Vec<StepStats>,
+    /// Whether a shard may hold the session open: it was sent a request,
+    /// and no request that closes the session succeeded since.
+    held: Vec<bool>,
+}
+
+impl RemoteSession {
+    fn new(id: u64, shards: usize) -> Self {
+        RemoteSession {
+            id,
+            step: 0,
+            seen: vec![StepStats::default(); shards],
+            held: vec![false; shards],
+        }
+    }
+}
+
+/// How one step reaches the shards.
+struct StepRoute {
+    /// Each planned shard's `open` for the step (`None`: the plan sends the
+    /// shard nothing).
+    open: Vec<Option<Json>>,
+    /// Whether the step has sent a shard nothing yet: its first request
+    /// carries the `open`.
+    first: Vec<bool>,
+    /// Whether a shard's request closes the session: its sole request of a
+    /// one-shot answer.
+    close: Vec<bool>,
 }
 
 /// The query-facing handle of a cluster: scatter-gather answering with the
@@ -402,10 +443,9 @@ impl ClusterHandle {
             return Ok((BeasAnswer::empty(normalized.output_columns()), None));
         }
         let plan = Planner::new(&self.catalog).plan_with_budget(&normalized, budget)?;
-        let session = self.next_session.fetch_add(1, Ordering::Relaxed);
-        let mut state = ExecState::new();
-        let result = self.run_step(session, &qjson, &plan, &mut state);
-        self.close_all(session);
+        let mut remote = self.remote_session();
+        let result = self.run_step(&mut remote, &qjson, &plan, &mut ExecState::new(), true);
+        self.close(&remote);
         let (answer, _, outage) = result?;
         Ok((answer, outage))
     }
@@ -441,13 +481,14 @@ impl ClusterHandle {
         let (first, _) = planner.plan_for_target(&normalized, target.eta, max_budget)?;
         let predicted_budget = first.budget;
 
-        let session = self.next_session.fetch_add(1, Ordering::Relaxed);
+        let mut remote = self.remote_session();
         let mut state = ExecState::new();
         let mut plan = first;
         let mut escalations = 0usize;
         let mut spent = 0usize;
         let result: Result<BeasAnswer> = (|| loop {
-            let (answer, stats, _) = self.run_step(session, &qjson, &plan, &mut state)?;
+            let (answer, stats, _) =
+                self.run_step(&mut remote, &qjson, &plan, &mut state, false)?;
             // shards bill only freshly fetched tuples across the escalation
             // chain, so the cumulative materialized count is the true spend
             spent = stats.fetched_cum;
@@ -458,7 +499,7 @@ impl ClusterHandle {
             let budget = plan.budget.saturating_mul(2).min(max_budget);
             plan = planner.plan_with_budget(&normalized, budget)?;
         })();
-        self.close_all(session);
+        self.close(&remote);
         let answer = result?;
         Ok(TargetedAnswer {
             spec: ResourceSpec::Tuples(answer.budget),
@@ -490,10 +531,18 @@ impl ClusterHandle {
             query: normalized,
             steps,
             state: ExecState::new(),
-            session: self.next_session.fetch_add(1, Ordering::Relaxed),
+            remote: self.remote_session(),
             next: 0,
             last_reused_cum: 0,
         })
+    }
+
+    /// A fresh session token, open on no shard yet.
+    fn remote_session(&self) -> RemoteSession {
+        RemoteSession::new(
+            self.next_session.fetch_add(1, Ordering::Relaxed),
+            self.shards(),
+        )
     }
 
     /// Canonicalises a query by a round-trip through the wire encoding: the
@@ -509,7 +558,7 @@ impl ClusterHandle {
         Ok((qjson, normalized))
     }
 
-    /// One scatter-gather execution of `plan` under session `session`,
+    /// One scatter-gather execution of `plan` as the next step of `remote`,
     /// degrading around dead shards when the policy allows (see
     /// [`DegradedPolicy`]): a shard that exhausts its retry budget takes its
     /// unfetched fragments — and every fetch node and leaf transitively
@@ -517,13 +566,17 @@ impl ClusterHandle {
     /// `partial` exactly when a fetch node was lost; a shard that dies
     /// *after* serving all its fragments is salvaged bit-for-bit (its leaves
     /// re-evaluated at the coordinator, its accounting taken from its last
-    /// `open`/`fetch` response like everyone else's).
+    /// `fetch` response like everyone else's).
+    ///
+    /// Each shard's first request of the step carries the step's `open`, and
+    /// in a `one_shot` answer a shard's sole request also closes the session.
     fn run_step(
         &self,
-        session: u64,
+        remote: &mut RemoteSession,
         qjson: &Json,
         plan: &BoundedPlan,
         state: &mut ExecState,
+        one_shot: bool,
     ) -> Result<(BeasAnswer, StepStats, Option<OutageReport>)> {
         let split = split_budget(
             plan,
@@ -537,57 +590,41 @@ impl ClusterHandle {
         let shards = self.shards();
         let mut dead: Vec<bool> = vec![false; shards];
         let mut outage = OutageReport::default();
-        // each shard's accounting as of its latest `open` or `fetch` response
-        let mut last_seen: Vec<StepStats> = vec![StepStats::default(); shards];
-
-        // open every shard: each plans the query for itself and must land on
-        // the coordinator's plan (cross-checked by shape)
-        let mut opens: Vec<Json> = Vec::with_capacity(shards);
-        for (shard, seen) in last_seen.iter_mut().enumerate() {
-            let request = protocol::open_request(session, qjson, plan.budget, split.shares[shard]);
-            let decode = |response: &Json| {
-                Ok((
-                    step_accounting_of(response)?,
-                    protocol::req_usize(response, "tariff")?,
-                    protocol::req_usize(response, "nodes")?,
-                    protocol::req_usize(response, "leaves")?,
-                ))
-            };
-            match self.call(shard, &request, None, decode) {
-                Ok((accounting, tariff, nodes, leaves)) => {
-                    *seen = accounting;
-                    if tariff != plan.tariff
-                        || nodes != plan.fetch.nodes.len()
-                        || leaves != plan.leaves.len()
-                    {
-                        // a divergent plan means the shard cannot serve this
-                        // step (stale catalog, version skew): degradable
-                        let failure = ShardFailure {
-                            shard,
-                            op: "open".to_string(),
-                            attempts: 1,
-                            elapsed: Duration::ZERO,
-                            deadline: self.retry.deadline,
-                            last_error: format!(
-                                "planned divergently: tariff {tariff} vs {}, \
-                                 {nodes} nodes vs {}, {leaves} leaves vs {}",
-                                plan.tariff,
-                                plan.fetch.nodes.len(),
-                                plan.leaves.len()
-                            ),
-                        };
-                        self.degrade(
-                            ClusterError::ShardFailed(Box::new(failure)),
-                            shard,
-                            &mut dead,
-                            &mut outage,
-                        )?;
-                    }
-                }
-                Err(e) => self.degrade(e, shard, &mut dead, &mut outage)?,
-            }
-            opens.push(request);
+        remote.step += 1;
+        for seen in &mut remote.seen {
+            (seen.accessed, seen.fetches) = (0, 0);
         }
+
+        // the requests the plan sends each shard: fetch nodes by owner, and
+        // leaves whose atoms all live on one shard
+        let mut planned = vec![0usize; shards];
+        for node in &plan.fetch.nodes {
+            planned[self.owner_of_family(node.family)?] += 1;
+        }
+        for leaf_plan in &plan.leaves {
+            if let Some(shard) = self.sole_owner(plan, leaf_plan)? {
+                planned[shard] += 1;
+            }
+        }
+        let mut route = StepRoute {
+            open: (0..shards)
+                .map(|shard| {
+                    (planned[shard] > 0).then(|| {
+                        protocol::open_message(
+                            remote.step,
+                            qjson,
+                            plan.budget,
+                            split.shares[shard],
+                            plan.tariff,
+                            plan.fetch.nodes.len(),
+                            plan.leaves.len(),
+                        )
+                    })
+                })
+                .collect(),
+            first: vec![true; shards],
+            close: planned.iter().map(|&n| one_shot && n == 1).collect(),
+        };
 
         // scatter: stream every fetch node from its owning shard, adopting
         // the returned fragments into the coordinator state (no re-billing —
@@ -612,15 +649,11 @@ impl ClusterHandle {
                     step_accounting_of(response)?,
                 ))
             };
-            match self.call(
-                owner,
-                &protocol::fetch_request(session, node.id, &keys),
-                Some(&opens[owner]),
-                decode,
-            ) {
+            let request = protocol::fetch_request(remote.id, node.id, &keys);
+            match self.exchange(remote, &mut route, owner, request, decode) {
                 Ok((rel, accounting)) => {
                     let rel = Arc::new(rel);
-                    last_seen[owner] = accounting;
+                    remote.seen[owner] = accounting;
                     let fragment =
                         state.adopt_fragment(node.family, node.level, keys, Arc::clone(&rel));
                     fragments.set(node.id, fragment, rel);
@@ -664,12 +697,8 @@ impl ClusterHandle {
                                 })?,
                         })
                     };
-                    match self.call(
-                        shard,
-                        &protocol::leaf_request(session, index),
-                        Some(&opens[shard]),
-                        decode,
-                    ) {
+                    let request = protocol::leaf_request(remote.id, index);
+                    match self.exchange(remote, &mut route, shard, request, decode) {
                         Ok(leaf) => Some(leaf),
                         Err(e) => {
                             // the shard died between fetch and leaf; every
@@ -700,7 +729,7 @@ impl ClusterHandle {
         // accounting: the cluster accessed what its shards billed, as of
         // each shard's last response — no extra round, dead or alive
         let mut stats = StepStats::default();
-        for seen in &last_seen {
+        for seen in &remote.seen {
             stats.accessed += seen.accessed;
             stats.fetches += seen.fetches;
             stats.fetched_cum += seen.fetched_cum;
@@ -712,7 +741,7 @@ impl ClusterHandle {
         for entry in &mut outage.shards {
             let s = entry.failure.shard;
             entry.share = split.shares.get(s).copied().unwrap_or(0);
-            entry.spent = last_seen[s].accessed;
+            entry.spent = remote.seen[s].accessed;
         }
         outage.unspent_share = outage
             .shards
@@ -763,65 +792,92 @@ impl ClusterHandle {
         }
     }
 
+    /// Sends the fetch or leaf `request` to `shard` as `route` says: with
+    /// the step's `open` when it is the shard's first request of the step,
+    /// and marked to close the session when it is the shard's sole one.
+    fn exchange<T>(
+        &self,
+        remote: &mut RemoteSession,
+        route: &mut StepRoute,
+        shard: usize,
+        mut request: Json,
+        decode: impl Fn(&Json) -> Result<T>,
+    ) -> Result<T> {
+        let open = route.open[shard]
+            .as_ref()
+            .ok_or_else(|| ClusterError::Config(format!("the plan sends shard {shard} nothing")))?;
+        if std::mem::take(&mut route.first[shard]) {
+            request = protocol::with_field(request, "open", open.clone());
+        }
+        if route.close[shard] {
+            request = protocol::with_field(request, "close", Json::Bool(true));
+        }
+        remote.held[shard] = true;
+        let result = self.call(shard, &request, open, decode);
+        if route.close[shard] && result.is_ok() {
+            remote.held[shard] = false;
+        }
+        result
+    }
+
     /// One protocol exchange with `shard` under the retry policy: timed per
     /// attempt, retried on transient failures with exponential backoff and
-    /// deterministic jitter, healed through a `no_session` re-open when
-    /// `reopen` carries the step's open request, `ok`-checked, and decoded by
-    /// `decode` inside the attempt — a response that parses but does not
+    /// deterministic jitter, healed after a `no_session` answer by re-sending
+    /// the request with the step's `open` attached, `ok`-checked, and decoded
+    /// by `decode` inside the attempt — a response that parses but does not
     /// decode (a damaged frame, a missing field) is a retryable
     /// [`ClusterError::Wire`] like any other garbled response. A retryable
     /// failure that survives every attempt comes back as
-    /// [`ClusterError::ShardFailed`] with the full attempt context.
+    /// [`ClusterError::ShardFailed`] with the full attempt context, and so
+    /// does a shard that planned the step divergently (op `open`).
     fn call<T>(
         &self,
         shard: usize,
         request: &Json,
-        reopen: Option<&Json>,
+        open: &Json,
         decode: impl Fn(&Json) -> Result<T>,
     ) -> Result<T> {
         let policy = self.retry;
         let start = Instant::now();
         let hard_deadline = start + policy.deadline;
         let session = protocol::req_usize(request, "session").unwrap_or(0) as u64;
+        let op = request.get("op").and_then(Json::as_str).unwrap_or("?");
+        let mut healed: Option<Json> = None;
         let mut attempt: u32 = 0;
         loop {
             attempt += 1;
             let attempt_start = Instant::now();
-            let result = self
-                .transport
-                .call_deadline(shard, request, Some(hard_deadline));
+            let result = self.transport.call_deadline(
+                shard,
+                healed.as_ref().unwrap_or(request),
+                Some(hard_deadline),
+            );
             self.metrics
                 .record_shard_call(shard, attempt_start.elapsed());
             let error = match result {
-                Ok(response) => match reopen {
-                    // the shard lost the session (evicted or restarted):
-                    // re-open to restore affinity, then retry the call
-                    Some(reopen)
-                        if protocol::error_code(&response) == Some(protocol::NO_SESSION) =>
-                    {
-                        match self
-                            .transport
-                            .call_deadline(shard, reopen, Some(hard_deadline))
-                            .and_then(|r| protocol::expect_ok(&r).map(|_| ()))
-                        {
-                            Ok(()) => {
-                                if attempt >= policy.attempts || Instant::now() >= hard_deadline {
-                                    return Err(self.give_up(
-                                        shard,
-                                        request,
-                                        attempt,
-                                        start,
-                                        "session re-opened but retry budget exhausted",
-                                    ));
-                                }
-                                self.metrics.record_retry(shard);
-                                continue;
-                            }
-                            Err(e) => e,
+                Ok(response) => match protocol::error_code(&response) {
+                    // the shard lost the session (evicted or restarted): the
+                    // next attempt re-opens it and is served in the same call
+                    Some(protocol::NO_SESSION) => {
+                        healed = Some(protocol::with_field(request.clone(), "open", open.clone()));
+                        if attempt >= policy.attempts || Instant::now() >= hard_deadline {
+                            return Err(self.give_up(
+                                shard,
+                                op,
+                                attempt,
+                                start,
+                                "session lost and retry budget exhausted",
+                            ));
                         }
+                        self.metrics.record_retry(shard);
+                        continue;
                     }
-                    // without a re-open to heal with (the open itself), a
-                    // `no_session` answer surfaces as a protocol error
+                    // a divergent plan means the shard cannot serve this step
+                    // (stale catalog, version skew): degradable, not retried
+                    Some(protocol::PLAN_DIVERGED) => {
+                        let why = response.get("error").and_then(Json::as_str);
+                        return Err(self.give_up(shard, "open", attempt, start, why.unwrap_or("")));
+                    }
                     _ => {
                         protocol::expect_ok(&response)?;
                         match decode(&response) {
@@ -839,7 +895,7 @@ impl ClusterHandle {
                 return Err(error);
             }
             if attempt >= policy.attempts || Instant::now() >= hard_deadline {
-                return Err(self.give_up(shard, request, attempt, start, &error.to_string()));
+                return Err(self.give_up(shard, op, attempt, start, &error.to_string()));
             }
             self.metrics.record_retry(shard);
             self.backoff(session, shard, attempt);
@@ -850,18 +906,14 @@ impl ClusterHandle {
     fn give_up(
         &self,
         shard: usize,
-        request: &Json,
+        op: &str,
         attempts: u32,
         start: Instant,
         last_error: &str,
     ) -> ClusterError {
         ClusterError::ShardFailed(Box::new(ShardFailure {
             shard,
-            op: request
-                .get("op")
-                .and_then(Json::as_str)
-                .unwrap_or("?")
-                .to_string(),
+            op: op.to_string(),
             attempts,
             elapsed: start.elapsed(),
             deadline: self.retry.deadline,
@@ -904,14 +956,14 @@ impl ClusterHandle {
         Ok(owner)
     }
 
-    /// Closes session `session` on every shard, ignoring per-shard errors
-    /// (a shard that never opened it answers with a protocol error). The
+    /// Closes `remote` on every shard that may hold it, ignoring per-shard
+    /// errors (a shard that lost the session answers `no_session`). The
     /// whole round shares one retry deadline, so a hung shard delays an
     /// answer by at most that much, not by its transport's default timeout.
-    fn close_all(&self, session: u64) {
+    fn close(&self, remote: &RemoteSession) {
         let deadline = Instant::now() + self.retry.deadline;
-        let request = protocol::stats_request(session, true);
-        for shard in 0..self.shards() {
+        let request = protocol::stats_request(remote.id, true);
+        for shard in (0..self.shards()).filter(|&shard| remote.held[shard]) {
             let _ = self
                 .transport
                 .call_deadline(shard, &request, Some(deadline));
@@ -949,14 +1001,14 @@ pub struct ClusterStep {
 
 /// A progressive refinement session against a cluster: shard `ExecState`s
 /// stay open across steps, so refinement reuses fragments where they were
-/// fetched. Dropping the session closes it on every shard.
+/// fetched. Dropping the session closes it on every shard it reached.
 pub struct ClusterSession<'h> {
     handle: &'h ClusterHandle,
     qjson: Json,
     query: BeasQuery,
     steps: Vec<(ResourceSpec, usize)>,
     state: ExecState,
-    session: u64,
+    remote: RemoteSession,
     next: usize,
     last_reused_cum: usize,
 }
@@ -986,7 +1038,7 @@ impl ClusterSession<'_> {
         let plan = Planner::new(&self.handle.catalog).plan_with_budget(&self.query, budget)?;
         let (answer, stats, outage) =
             self.handle
-                .run_step(self.session, &self.qjson, &plan, &mut self.state)?;
+                .run_step(&mut self.remote, &self.qjson, &plan, &mut self.state, false)?;
         let reused = stats.reused_cum.saturating_sub(self.last_reused_cum);
         self.last_reused_cum = stats.reused_cum;
         Ok(ClusterStep {
@@ -1005,14 +1057,14 @@ impl ClusterSession<'_> {
 
 impl Drop for ClusterSession<'_> {
     fn drop(&mut self) {
-        self.handle.close_all(self.session);
+        self.handle.close(&self.remote);
     }
 }
 
 impl std::fmt::Debug for ClusterSession<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ClusterSession")
-            .field("session", &self.session)
+            .field("session", &self.remote.id)
             .field("steps", &self.steps)
             .field("next", &self.next)
             .finish()
@@ -1022,7 +1074,6 @@ impl std::fmt::Debug for ClusterSession<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use beas_access::TemplateFamily;
     use beas_relal::{
         AggFunc, Attribute, Database, DatabaseSchema, RelationSchema, SpcQueryBuilder, Value,
     };
@@ -1137,29 +1188,6 @@ mod tests {
         assert_eq!(a.budget, b.budget);
     }
 
-    /// `TemplateFamily`'s `==` with representatives compared as Debug text:
-    /// `visit`'s NaN spends make `==` false on identical levels.
-    fn assert_same_family(a: &TemplateFamily, b: &TemplateFamily) {
-        assert_eq!(
-            (&a.relation, &a.x, &a.y, a.from_constraint, a.num_levels()),
-            (&b.relation, &b.x, &b.y, b.from_constraint, b.num_levels())
-        );
-        for (la, lb) in a.levels.iter().zip(&b.levels) {
-            assert_eq!((la.n, &la.resolution), (lb.n, &lb.resolution));
-            let mut keys = la.xkeys();
-            keys.sort();
-            let mut other = lb.xkeys();
-            other.sort();
-            assert_eq!(keys, other);
-            for key in &keys {
-                assert_eq!(
-                    format!("{:?}", la.reps_for(key)),
-                    format!("{:?}", lb.reps_for(key))
-                );
-            }
-        }
-    }
-
     #[test]
     fn cluster_catalog_mirrors_single_node_layout() {
         for shards in 1..=4 {
@@ -1173,7 +1201,7 @@ mod tests {
                 .enumerate()
             {
                 // the same family, levels included, at the same id
-                assert_same_family(c, s);
+                assert_eq!(c, s, "family {f}");
                 // served by exactly the shard owning its relation
                 let owner = relations.iter().position(|r| r.name == c.relation).unwrap() % shards;
                 for node in cluster.nodes() {
@@ -1265,11 +1293,17 @@ mod tests {
         let owner = cluster.owner_of_family(plan.fetch.nodes[0].family).unwrap();
         let wrong = (owner + 1) % cluster.shards();
         let wrong_node = &cluster.nodes()[wrong];
-        let open = wrong_node.handle(&protocol::open_request(99, &qjson, budget, 10));
-        protocol::expect_ok(&open).unwrap();
-        let fetch = wrong_node.handle(&protocol::fetch_request(99, plan.fetch.nodes[0].id, &[]));
-        let err = protocol::expect_ok(&fetch).unwrap_err();
+        let (tariff, nodes, leaves) = (plan.tariff, plan.fetch.nodes.len(), plan.leaves.len());
+        let open = protocol::open_message(1, &qjson, budget, 10, tariff, nodes, leaves);
+        let fetch = protocol::with_field(
+            protocol::fetch_request(99, plan.fetch.nodes[0].id, &[]),
+            "open",
+            open,
+        );
+        let err = protocol::expect_ok(&wrong_node.handle(&fetch)).unwrap_err();
         assert!(err.to_string().contains("does not own"), "{err}");
+        // the open rode on the refused fetch: the session is there, unbilled
+        assert_eq!(wrong_node.open_sessions(), 1);
     }
 
     #[test]
@@ -1291,8 +1325,16 @@ mod tests {
             .plan_with_budget(&query, budget)
             .unwrap();
         assert_eq!(share_sum as usize, plan.budget.max(plan.tariff));
-        for s in shards {
-            assert!(s.get("calls").and_then(Json::as_i64).unwrap() > 0);
+        // the join fetches from person's and poi's shards; visit's shard is
+        // never contacted
+        for (shard, s) in shards.iter().enumerate() {
+            let calls = s.get("calls").and_then(Json::as_i64).unwrap();
+            let touched = plan
+                .fetch
+                .nodes
+                .iter()
+                .any(|n| cluster.owner_of_family(n.family).unwrap() == shard);
+            assert_eq!(calls > 0, touched, "shard {shard}: {calls} calls");
         }
         let merge = json.get("merge").unwrap();
         assert_eq!(merge.get("count").and_then(Json::as_i64), Some(1));
@@ -1569,24 +1611,28 @@ mod tests {
 
     #[test]
     fn dead_shard_outside_the_plan_leaves_the_answer_exact_and_non_partial() {
-        // a single-atom query over poi only touches poi's owner for data: a
-        // dead bystander shard fails its open call and is degraded
-        // away, but no fetch node or leaf is lost — the answer must stay
-        // bit-for-bit exact and non-partial (outage still reported)
+        // a single-atom query over poi only touches poi's owner: a dead
+        // bystander shard is never called, so nothing degrades and the
+        // answer stays bit-for-bit exact and non-partial
         let (mut cluster, faulty, single) = flaky_cluster(3, 3, FaultRates::uniform(0));
         cluster.degraded = DegradedPolicy::PartialAnswer;
         let query = single_atom_query(cluster.schema());
         let healthy = single.answer(&query, ResourceSpec::FULL).unwrap();
         let owner = cluster.owner_of_family(1).unwrap(); // poi is relation 1
-        faulty.set_down((owner + 1) % 3, true);
+        let bystander = (owner + 1) % 3;
+        faulty.set_down(bystander, true);
         let (b, outage) = cluster
             .answer_with_report(&query, ResourceSpec::FULL)
             .unwrap();
         assert!(!b.partial);
         assert_same(&b, &healthy);
-        let outage = outage.expect("the dead shard is still reported");
-        assert!(outage.lost_nodes.is_empty());
-        assert!(outage.dropped_leaves.is_empty());
+        assert!(outage.is_none(), "{outage:?}");
+        assert_eq!(faulty.injected(), 0, "the bystander was called");
+        let json = cluster.metrics().to_json();
+        let calls = json.get("shards").and_then(Json::as_arr).unwrap()[bystander]
+            .get("calls")
+            .and_then(Json::as_i64);
+        assert_eq!(calls, Some(0));
     }
 
     #[test]
@@ -1600,15 +1646,16 @@ mod tests {
         let c1 = cs.next_step().unwrap().unwrap();
         let s1 = ss.next_step().unwrap().unwrap();
         assert_eq!(c1.answer.answers.digest(), s1.answer.answers.digest());
-        // evict every shard session between steps: the next step must heal
-        // through `no_session` re-opens and still match the single node's
-        // digest and η (budget accounting restarts on the evicted shards)
+        // evict every shard session between steps: the next step's first
+        // requests carry its `open` and re-open them, and it must still
+        // match the single node's digest and η (budget accounting restarts
+        // on the evicted shards)
         let mut evicted = 0;
         for node in cluster.nodes() {
             let (dropped, _) = node.evict_idle(Duration::ZERO);
             evicted += dropped;
         }
-        assert_eq!(evicted, 3, "every shard held one session");
+        assert_eq!(evicted, 2, "the join's two shards held one session each");
         let c2 = cs.next_step().unwrap().unwrap();
         let s2 = ss.next_step().unwrap().unwrap();
         assert_eq!(c2.answer.answers.digest(), s2.answer.answers.digest());
@@ -1616,8 +1663,213 @@ mod tests {
         assert!(!c2.answer.partial);
     }
 
+    /// A transport that evicts every session of `shard` once, right before
+    /// the first request to it that carries no `open`.
+    struct EvictMidStep {
+        inner: Arc<dyn ShardTransport>,
+        node: Arc<ShardNode>,
+        armed: std::sync::atomic::AtomicBool,
+    }
+
+    impl ShardTransport for EvictMidStep {
+        fn call(&self, shard: usize, request: &Json) -> Result<Json> {
+            if shard == self.node.shard()
+                && request.get("open").is_none()
+                && self.armed.swap(false, Ordering::SeqCst)
+            {
+                assert_eq!(self.node.evict_idle(Duration::ZERO).0, 1);
+            }
+            self.inner.call(shard, request)
+        }
+
+        fn shards(&self) -> usize {
+            self.inner.shards()
+        }
+    }
+
+    #[test]
+    fn a_session_evicted_mid_step_is_healed_in_one_call() {
+        // person ⋈ person ⋈ poi: two fetch nodes on person's shard, and a
+        // leaf spanning two shards, merged here
+        let (mut cluster, single) = cluster_and_single(3);
+        let query: BeasQuery = {
+            let mut b = SpcQueryBuilder::new(cluster.schema());
+            let p = b.atom("person", "p").unwrap();
+            let r = b.atom("person", "r").unwrap();
+            let q = b.atom("poi", "q").unwrap();
+            b.join((p, "city"), (r, "city")).unwrap();
+            b.join((p, "city"), (q, "city")).unwrap();
+            b.output(r, "age", "age").unwrap();
+            b.output(q, "stars", "stars").unwrap();
+            b.build().unwrap().into()
+        };
+        let budget = cluster.catalog().budget(&ResourceSpec::FULL).unwrap();
+        let plan = Planner::new(cluster.catalog())
+            .plan_with_budget(&query, budget)
+            .unwrap();
+        let owners: Vec<usize> = plan
+            .fetch
+            .nodes
+            .iter()
+            .map(|n| cluster.owner_of_family(n.family).unwrap())
+            .collect();
+        assert_eq!(owners.iter().filter(|&&o| o == 0).count(), 2, "{owners:?}");
+        let evict = Arc::new(EvictMidStep {
+            inner: Arc::clone(cluster.transport()),
+            node: Arc::clone(&cluster.nodes()[0]),
+            armed: true.into(),
+        });
+        cluster.set_transport(Arc::clone(&evict) as Arc<dyn ShardTransport>);
+        let a = cluster.answer(&query, ResourceSpec::FULL).unwrap();
+        let b = single.answer(&query, ResourceSpec::FULL).unwrap();
+        assert!(!evict.armed.load(Ordering::SeqCst), "nothing was evicted");
+        assert_eq!(a.answers.digest(), b.answers.digest());
+        assert_eq!(a.eta.to_bits(), b.eta.to_bits());
+        assert!(!a.partial);
+        // the `no_session` answer and the re-sent request are one retry
+        assert_eq!(total_retries(&cluster), 1);
+        for node in cluster.nodes() {
+            assert_eq!(node.open_sessions(), 0);
+        }
+    }
+
+    /// A transport that raises the tariff of every `open` it carries to
+    /// `shard`, as a shard planning over a different catalog would see it.
+    struct SkewOpen {
+        inner: Arc<dyn ShardTransport>,
+        shard: usize,
+    }
+
+    impl ShardTransport for SkewOpen {
+        fn call(&self, shard: usize, request: &Json) -> Result<Json> {
+            match request.get("open") {
+                Some(open) if shard == self.shard => {
+                    let tariff = protocol::req_usize(open, "tariff")? + 1;
+                    let open =
+                        protocol::with_field(open.clone(), "tariff", Json::Int(tariff as i64));
+                    let request = protocol::with_field(request.clone(), "open", open);
+                    self.inner.call(shard, &request)
+                }
+                _ => self.inner.call(shard, request),
+            }
+        }
+
+        fn shards(&self) -> usize {
+            self.inner.shards()
+        }
+    }
+
+    #[test]
+    fn a_shard_planning_divergently_refuses_the_open_and_is_degraded() {
+        let (mut cluster, _single) = cluster_and_single(3);
+        cluster.retry = RetryPolicy::fast();
+        let query = join_query(cluster.schema());
+        let poi = cluster.owner_of_family(1).unwrap(); // poi is relation 1
+        let inner = Arc::clone(cluster.transport());
+        cluster.set_transport(Arc::new(SkewOpen { inner, shard: poi }));
+        let err = cluster.answer(&query, ResourceSpec::FULL).unwrap_err();
+        let ClusterError::ShardFailed(failure) = err else {
+            panic!("expected ShardFailed, got {err}");
+        };
+        assert_eq!(
+            (failure.shard, failure.op.as_str(), failure.attempts),
+            (poi, "open", 1)
+        );
+        assert!(
+            failure.last_error.contains("planned divergently"),
+            "{failure}"
+        );
+        // refused before anything was fetched or opened there
+        assert_eq!(cluster.nodes()[poi].open_sessions(), 0);
+        cluster.degraded = DegradedPolicy::PartialAnswer;
+        let (answer, outage) = cluster
+            .answer_with_report(&query, ResourceSpec::FULL)
+            .unwrap();
+        assert!(answer.partial);
+        let outage = outage.expect("an outage report");
+        assert_eq!(outage.shards[0].failure.op, "open");
+        assert_eq!(outage.shards[0].spent, 0);
+    }
+
+    /// A transport that loses the response to the first request carrying an
+    /// `open`, after the shard served it — a `Disconnect` fault.
+    struct LoseFirstOpenReply {
+        inner: Arc<dyn ShardTransport>,
+        armed: std::sync::atomic::AtomicBool,
+    }
+
+    impl ShardTransport for LoseFirstOpenReply {
+        fn call(&self, shard: usize, request: &Json) -> Result<Json> {
+            let response = self.inner.call(shard, request)?;
+            if request.get("open").is_some() && self.armed.swap(false, Ordering::SeqCst) {
+                return Err(ClusterError::Transport {
+                    shard,
+                    message: "connection reset before response".to_string(),
+                });
+            }
+            Ok(response)
+        }
+
+        fn shards(&self) -> usize {
+            self.inner.shards()
+        }
+    }
+
+    #[test]
+    fn a_lost_reply_to_the_open_bearing_first_fetch_changes_no_accounting() {
+        // a retried first request names the step its shard is already in, so
+        // the shard keeps the step's ledger: `accessed`, `fetches` and the
+        // session totals are the healthy answer's, for a shard the step
+        // sends one request (which also closes) or several
+        let (mut cluster, _single) = cluster_and_single(3);
+        cluster.retry = RetryPolicy::fast();
+        let healthy_transport = Arc::clone(cluster.transport());
+        for query in [
+            single_atom_query(cluster.schema()),
+            join_query(cluster.schema()),
+        ] {
+            for one_shot in [true, false] {
+                let (qjson, normalized) = cluster.normalize(&query).unwrap();
+                let mut runs = Vec::new();
+                for lossy in [false, true] {
+                    let lose = Arc::new(LoseFirstOpenReply {
+                        inner: Arc::clone(&healthy_transport),
+                        armed: lossy.into(),
+                    });
+                    cluster.set_transport(Arc::clone(&lose) as Arc<dyn ShardTransport>);
+                    let mut remote = cluster.remote_session();
+                    let mut state = ExecState::new();
+                    let mut steps = Vec::new();
+                    // a session's second step re-bills what the first fetched
+                    for budget in [8, 72] {
+                        let plan = Planner::new(cluster.catalog())
+                            .plan_with_budget(&normalized, budget)
+                            .unwrap();
+                        let (answer, stats, outage) = cluster
+                            .run_step(&mut remote, &qjson, &plan, &mut state, one_shot)
+                            .unwrap();
+                        assert!(outage.is_none());
+                        steps.push((answer.answers.digest(), answer.accessed, stats));
+                        if one_shot {
+                            break;
+                        }
+                    }
+                    cluster.close(&remote);
+                    assert!(!lose.armed.load(Ordering::SeqCst), "no reply was lost");
+                    runs.push(steps);
+                }
+                assert_eq!(runs[0], runs[1], "one_shot {one_shot}");
+                assert!(runs[0].iter().all(|(_, _, stats)| stats.fetches > 0));
+            }
+        }
+        for node in cluster.nodes() {
+            assert_eq!(node.open_sessions(), 0);
+        }
+    }
+
     /// A transport that logs `(shard, op)` of every call on its way to the
-    /// shards, and refuses the calls matching `refuse`.
+    /// shards — with `+open` and `+close` appended to the op of a request
+    /// carrying those — and refuses the calls matching `refuse`.
     struct Recording {
         inner: Arc<dyn ShardTransport>,
         calls: std::sync::Mutex<Vec<(usize, String)>>,
@@ -1635,9 +1887,10 @@ mod tests {
             recording
         }
 
+        /// Calls whose op (with its `+open`/`+close` suffixes) contains `op`.
         fn count(&self, op: &str) -> usize {
             let calls = self.calls.lock().unwrap();
-            calls.iter().filter(|(_, o)| o == op).count()
+            calls.iter().filter(|(_, o)| o.contains(op)).count()
         }
     }
 
@@ -1650,7 +1903,13 @@ mod tests {
                     message: format!("refused {op}"),
                 });
             }
-            self.calls.lock().unwrap().push((shard, op.to_string()));
+            let mut logged = op.to_string();
+            for field in ["open", "close"] {
+                if request.get(field).is_some() {
+                    logged += &format!("+{field}");
+                }
+            }
+            self.calls.lock().unwrap().push((shard, logged));
             self.inner.call(shard, request)
         }
 
@@ -1660,34 +1919,49 @@ mod tests {
     }
 
     #[test]
-    fn healthy_answer_is_open_fetch_leaf_close_and_no_stats_round() {
+    fn a_healthy_answer_sends_only_data_messages_and_closes_busy_shards() {
         let (mut cluster, _single) = cluster_and_single(3);
         let recording = Recording::install(&mut cluster);
         for query in [
-            single_atom_query(cluster.schema()), // its one leaf lives on one shard
-            join_query(cluster.schema()),        // its leaf spans two: merged here
+            single_atom_query(cluster.schema()), // a fetch and a leaf on one shard
+            join_query(cluster.schema()),        // one fetch on each of two shards
+            sum_query(cluster.schema()),         // a fetch and a leaf on a third
         ] {
             recording.calls.lock().unwrap().clear();
             let budget = cluster.catalog().budget(&ResourceSpec::FULL).unwrap();
             let plan = Planner::new(cluster.catalog())
                 .plan_with_budget(&query, budget)
                 .unwrap();
-            let remote_leaves = plan
-                .leaves
-                .iter()
-                .filter(|leaf| cluster.sole_owner(&plan, leaf).unwrap().is_some())
-                .count();
+            let mut requests = [0usize; 3];
+            for node in &plan.fetch.nodes {
+                requests[cluster.owner_of_family(node.family).unwrap()] += 1;
+            }
+            for leaf in &plan.leaves {
+                if let Some(shard) = cluster.sole_owner(&plan, leaf).unwrap() {
+                    requests[shard] += 1;
+                }
+            }
+            let remote_leaves: usize = requests.iter().sum::<usize>() - plan.fetch.nodes.len();
+            let touched = requests.iter().filter(|&&n| n > 0).count();
+            let busy = requests.iter().filter(|&&n| n >= 2).count();
             cluster.answer(&query, ResourceSpec::FULL).unwrap();
-            assert_eq!(recording.count("open"), 3);
             assert_eq!(recording.count("fetch"), plan.fetch.nodes.len());
             assert_eq!(recording.count("leaf"), remote_leaves);
-            assert_eq!(recording.count("close"), 3);
-            let total = 3 + plan.fetch.nodes.len() + remote_leaves + 3;
+            // each touched shard's first request opens its session, its sole
+            // one closes it, and a busy shard is closed in one round after
+            assert_eq!(recording.count("+open"), touched);
+            assert_eq!(recording.count("+close"), touched - busy);
+            assert_eq!(recording.count("close"), touched);
+            assert_eq!(recording.count("stats"), 0);
+            let calls = recording.calls.lock().unwrap().clone();
             assert_eq!(
-                recording.calls.lock().unwrap().len(),
-                total,
-                "no other call"
+                calls.len(),
+                plan.fetch.nodes.len() + remote_leaves + busy,
+                "no other call: {calls:?}"
             );
+            for node in cluster.nodes() {
+                assert_eq!(node.open_sessions(), 0);
+            }
         }
     }
 
@@ -1697,8 +1971,8 @@ mod tests {
         // out of a plan; it goes a step without a fetch only when the shard
         // its keys come from is lost. At 72 tuples the poi fetch (shard 1)
         // is keyed by the person fragment (shard 0): refuse shard 0's fetch
-        // and shard 1 is opened but never fetched from, so its cumulative
-        // totals from step 1 can only come from the `open` response.
+        // and shard 1 is never contacted, so its cumulative totals from
+        // step 1 can only come from what the coordinator kept of them.
         let (mut cluster, single) = cluster_and_single(3);
         cluster.degraded = DegradedPolicy::PartialAnswer;
         cluster.retry = RetryPolicy::fast();
@@ -1720,8 +1994,8 @@ mod tests {
         let c2 = cs.next_step().unwrap().unwrap();
         assert!(c2.answer.partial);
         assert_eq!(c2.outage.as_ref().unwrap().lost_nodes, vec![0, 1]);
-        assert_eq!(recording.count("open"), 3);
-        assert_eq!(recording.count("fetch"), 0, "nobody was fetched from");
+        let calls = recording.calls.lock().unwrap().clone();
+        assert!(calls.is_empty(), "every call refused or skipped: {calls:?}");
         // nothing new was fetched or reused: the session totals are still
         // the single-node session's after its first step
         assert_eq!(c2.budget_spent, s1.budget_spent);
@@ -1844,6 +2118,7 @@ mod tests {
     struct StallClose {
         inner: Arc<dyn ShardTransport>,
         shard: usize,
+        stalled: std::sync::atomic::AtomicUsize,
     }
 
     impl ShardTransport for StallClose {
@@ -1858,6 +2133,7 @@ mod tests {
             deadline: Option<Instant>,
         ) -> Result<Json> {
             if shard == self.shard && request.get("op").and_then(Json::as_str) == Some("close") {
+                self.stalled.fetch_add(1, Ordering::SeqCst);
                 let start = Instant::now();
                 let until = deadline.unwrap_or(start + Duration::from_secs(5));
                 std::thread::sleep(until.saturating_duration_since(start));
@@ -1880,12 +2156,19 @@ mod tests {
         let (mut cluster, single) = cluster_and_single(3);
         let policy = RetryPolicy::fast();
         cluster.retry = policy;
-        let inner = Arc::clone(cluster.transport());
-        cluster.set_transport(Arc::new(StallClose { inner, shard: 1 }));
-        let query = join_query(cluster.schema());
+        // poi's shard serves the single-atom query's fetch and its leaf, so
+        // its session is closed in a round after the answer
+        let stall = Arc::new(StallClose {
+            inner: Arc::clone(cluster.transport()),
+            shard: cluster.owner_of_family(1).unwrap(),
+            stalled: Default::default(),
+        });
+        cluster.set_transport(Arc::clone(&stall) as Arc<dyn ShardTransport>);
+        let query = single_atom_query(cluster.schema());
         let start = Instant::now();
         let a = cluster.answer(&query, ResourceSpec::FULL).unwrap();
         let elapsed = start.elapsed();
+        assert_eq!(stall.stalled.load(Ordering::SeqCst), 1);
         assert_same(&a, &single.answer(&query, ResourceSpec::FULL).unwrap());
         assert!(
             elapsed < policy.deadline + Duration::from_secs(1),

@@ -56,7 +56,8 @@ pub enum ClusterError {
 pub struct ShardFailure {
     /// The shard that failed.
     pub shard: usize,
-    /// The protocol op the failed exchange carried (`open`, `fetch`, …).
+    /// The protocol op the failed exchange carried (`fetch`, `leaf`, or
+    /// `open` for a shard that planned the step divergently).
     pub op: String,
     /// Attempts made (≥ 1).
     pub attempts: u32,

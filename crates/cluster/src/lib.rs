@@ -41,7 +41,8 @@
 //!
 //! Shards plan the (wire-canonicalised) query themselves against the shared
 //! catalog — planning is deterministic, so no plan is ever serialized — and
-//! the coordinator cross-checks the plan shape at `open`. Fetch results are
+//! a shard checks its plan's shape against the coordinator's in the `open`
+//! that rides on the step's first request to it. Fetch results are
 //! the exact level fragments a single node would read; leaf evaluation and
 //! the final merge run the *same* executor code
 //! ([`beas_core::evaluate_plan_leaf`], [`beas_core::compose_plan_answer`])
@@ -59,7 +60,11 @@
 //! idempotency ledger, so a fetch whose response was lost in flight is
 //! re-served without billing the budget twice, and a shard that evicted or
 //! lost its session state answers with the `no_session` code, which the
-//! coordinator heals by re-sending the step's `open` before retrying.
+//! coordinator heals by re-sending the request with the step's `open`
+//! attached. Opening and closing cost no calls of their own: a step's first
+//! request to a shard carries the `open`, a one-shot answer's sole request
+//! to a shard carries the `close`, and a shard the plan sends nothing is
+//! never contacted (see [`crate::protocol`]).
 //!
 //! When a shard exhausts its retry budget, [`DegradedPolicy`] decides:
 //! `Fail` surfaces [`ClusterError::ShardFailed`] with the full per-shard

@@ -2,7 +2,7 @@
 //!
 //! The coordinator records, per query: the budget allocation handed to each
 //! shard (tariff floor + proportional slack), the latency of every shard
-//! call (open/fetch/leaf/close alike, as observed from the coordinator), and
+//! call (fetch/leaf/close alike, as observed from the coordinator), and
 //! the time spent merging shard leaf results into the final answer, and the
 //! fault-tolerance counters — retries, timeouts, reconnects and
 //! degraded-away shards per shard, plus how many answers went out flagged

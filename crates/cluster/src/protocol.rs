@@ -2,14 +2,8 @@
 //! `beas-serve`'s wire module for queries, keys and values, with relations
 //! carried as binary column frames.
 //!
-//! Five operations, all request/response JSON objects tagged by `"op"`:
+//! Four operations, all request/response JSON objects tagged by `"op"`:
 //!
-//! * `open` — `{op, session, budget, share, query}`: the shard plans the
-//!   query itself against the shared cluster catalog (planning is
-//!   deterministic, so no plan ever crosses the wire) and executes it with
-//!   the cluster's thread count and parallel-leaf threshold. It answers
-//!   `{ok, shard, tariff, nodes, leaves}` plus the accounting block — the
-//!   coordinator cross-checks the plan shape against its own.
 //! * `fetch` — `{op, session, node, keys}`: run one fetch node's lookup
 //!   against a family the shard owns, under its budget share; answers
 //!   `{ok, frame}` — the fragment as a [frame](relation_to_frame) — plus
@@ -26,6 +20,22 @@
 //!   accounting (`{ok, accessed, fetches, fetched_tuples, reused_tuples}`)
 //!   for operators and tests. The coordinator never sends it.
 //!
+//! **Opening and closing ride on data messages.** The first `fetch` or
+//! `leaf` a step sends to a shard carries the step's `open` field
+//! ([`open_message`]): `{step, budget, share, query, tariff, nodes,
+//! leaves}`. The shard plans the query itself against the shared cluster
+//! catalog (planning is deterministic, so no plan ever crosses the wire),
+//! checks that its plan has the coordinator's tariff, fetch-node count and
+//! leaf count — refusing with [`PLAN_DIVERGED`] before it fetches anything
+//! otherwise — and opens the session (or moves it to the new step, keeping
+//! its fragments), then serves the request in the same call. An `open` for
+//! the step the session is already in changes nothing, so a retried first
+//! request keeps the step's ledger and billing. A request carrying
+//! `close: true` ([`with_field`]) drops the session after a successful
+//! reply; the coordinator sends it only on a shard's *sole* request of a
+//! one-shot answer, whose retry re-opens the session and redoes the whole
+//! step. Shards the plan sends nothing are never contacted.
+//!
 //! **Frames.** A relation leaves a shard as its typed columns in the shared
 //! [`beas_relal::codec`] — the same column encoding the durable store
 //! writes — followed by a checksum ([`relation_to_frame`]). The decoded
@@ -36,18 +46,18 @@
 //!
 //! **The accounting block** is `{billed, fetches, fetched_tuples,
 //! reused_tuples}`: tuples billed against the share and fetch operations run
-//! *this step* (both zero in an `open` response, which starts the step), and
-//! the tuples materialized and reused over the *whole session*. Only `open`
-//! and `fetch` change these numbers, and both responses carry them, so the
-//! coordinator's latest copy per shard is exact at every point of a step:
-//! it needs no accounting round at the end, a shard that dies mid-step
-//! still contributes what it did, and a shard that is opened but not
-//! fetched from in some step still reports its session totals.
+//! *this step*, and the tuples materialized and reused over the *whole
+//! session*. Only a `fetch` changes these numbers, and every `fetch`
+//! response carries them, so the coordinator's latest copy per shard is
+//! exact at every point of a step: it needs no accounting round at the end,
+//! a shard that dies mid-step still contributes what it did, and the
+//! coordinator keeps the session totals of a shard it does not contact in
+//! some step.
 //!
 //! Failed responses are `{ok: false, error}` with an optional
 //! machine-readable `code` ([`err_response_code`]); [`NO_SESSION`] signals
 //! an unknown/evicted session token, which the coordinator heals by
-//! re-opening the session on that shard.
+//! re-sending the same request with the step's `open` attached.
 
 use beas_relal::codec::{self, Reader};
 use beas_relal::{Relation, Value};
@@ -55,15 +65,40 @@ use beas_serve::{value_from_json, value_to_json, Json};
 
 use crate::error::{ClusterError, Result};
 
-/// Builds an `open` request.
-pub fn open_request(session: u64, query: &Json, budget: usize, share: usize) -> Json {
+/// The `open` field of a step's first request to a shard: the step
+/// (counted per session by the coordinator), the total budget and the
+/// shard's share of it, the wire-encoded query, and the shape of the
+/// coordinator's plan — its tariff, fetch-node count and leaf count — which
+/// the shard's own plan must match.
+pub fn open_message(
+    step: usize,
+    query: &Json,
+    budget: usize,
+    share: usize,
+    tariff: usize,
+    nodes: usize,
+    leaves: usize,
+) -> Json {
     Json::obj(vec![
-        ("op", Json::Str("open".to_string())),
-        ("session", Json::Int(session as i64)),
+        ("step", Json::Int(step as i64)),
         ("budget", Json::Int(budget as i64)),
         ("share", Json::Int(share as i64)),
         ("query", query.clone()),
+        ("tariff", Json::Int(tariff as i64)),
+        ("nodes", Json::Int(nodes as i64)),
+        ("leaves", Json::Int(leaves as i64)),
     ])
+}
+
+/// The object `request` with `field` set to `value`, replacing an earlier
+/// value: a step's `open` ([`open_message`]), or `close: true`, which makes
+/// the shard close the session after answering the request successfully.
+pub fn with_field(mut request: Json, field: &str, value: Json) -> Json {
+    if let Json::Obj(fields) = &mut request {
+        fields.retain(|(name, _)| name != field);
+        fields.push((field.to_string(), value));
+    }
+    request
 }
 
 /// Builds a `fetch` request.
@@ -226,64 +261,89 @@ const BASE64_VALUE: [u8; 256] = {
     table
 };
 
-/// Standard, padded base64 (RFC 4648 §4).
-fn base64_encode(bytes: &[u8]) -> String {
-    let digit = |n: u32, shift: u32| BASE64[(n >> shift & 63) as usize];
-    let mut out = Vec::with_capacity(bytes.len().div_ceil(3) * 4);
-    let mut groups = bytes.chunks_exact(3);
-    for g in &mut groups {
-        let n = u32::from(g[0]) << 16 | u32::from(g[1]) << 8 | u32::from(g[2]);
-        out.extend_from_slice(&[digit(n, 18), digit(n, 12), digit(n, 6), digit(n, 0)]);
+/// `BASE64_PAIR[n]` is the two base64 digits of the 12-bit value `n`.
+const BASE64_PAIR: [[u8; 2]; 4096] = {
+    let mut table = [[0u8; 2]; 4096];
+    let mut n = 0;
+    while n < 4096 {
+        table[n] = [BASE64[n >> 6], BASE64[n & 63]];
+        n += 1;
     }
-    match *groups.remainder() {
-        [a] => {
-            let n = u32::from(a) << 16;
-            out.extend_from_slice(&[digit(n, 18), digit(n, 12), b'=', b'=']);
-        }
-        [a, b] => {
-            let n = u32::from(a) << 16 | u32::from(b) << 8;
-            out.extend_from_slice(&[digit(n, 18), digit(n, 12), digit(n, 6), b'=']);
-        }
-        _ => {}
+    table
+};
+
+/// Standard, padded base64 (RFC 4648 §4), written into a buffer sized up
+/// front: six bytes at a time become eight digits, two digits per table
+/// lookup, and only the last group, if partial, is padded.
+fn base64_encode(bytes: &[u8]) -> String {
+    let pair = |n: u64, shift: u32| BASE64_PAIR[(n >> shift & 0xfff) as usize];
+    let mut out = Vec::with_capacity(bytes.len().div_ceil(3) * 4);
+    let mut sixes = bytes.chunks_exact(6);
+    for g in &mut sixes {
+        let n = u64::from_be_bytes([0, 0, g[0], g[1], g[2], g[3], g[4], g[5]]);
+        let ([a, b], [c, d], [e, f], [g, h]) = (pair(n, 36), pair(n, 24), pair(n, 12), pair(n, 0));
+        out.extend_from_slice(&[a, b, c, d, e, f, g, h]);
+    }
+    for g in sixes.remainder().chunks(3) {
+        let n = u64::from(g[0]) << 16
+            | g.get(1).map_or(0, |&b| u64::from(b) << 8)
+            | g.get(2).map_or(0, |&b| u64::from(b));
+        let ([a, b], [c, d]) = (pair(n, 12), pair(n, 0));
+        out.extend_from_slice(&[
+            a,
+            b,
+            if g.len() > 1 { c } else { b'=' },
+            if g.len() > 2 { d } else { b'=' },
+        ]);
     }
     String::from_utf8(out).expect("base64 digits are ASCII")
 }
 
 /// Decodes [`base64_encode`]'s output, and nothing else: a bad digit, a
 /// misplaced `=` or non-zero bits under the padding are errors, so every
-/// byte string has exactly one accepted spelling.
+/// byte string has exactly one accepted spelling. Every group but the last
+/// decodes 4 digits into 3 bytes of a buffer sized up front.
 fn base64_decode(text: &str) -> Result<Vec<u8>> {
     let bad = |what: &str| ClusterError::Wire(format!("bad base64 frame: {what}"));
     let bytes = text.as_bytes();
     if !bytes.len().is_multiple_of(4) {
         return Err(bad("length is not a multiple of 4"));
     }
-    let groups = bytes.len() / 4;
-    let mut out = Vec::with_capacity(groups * 3);
-    for (i, g) in bytes.chunks_exact(4).enumerate() {
-        let pad = if i + 1 == groups {
-            g.iter().rev().take_while(|&&b| b == b'=').count()
-        } else {
-            0
-        };
-        if pad > 2 {
-            return Err(bad("too much padding"));
-        }
-        let mut n = 0u32;
-        for &b in &g[..4 - pad] {
-            let v = BASE64_VALUE[b as usize];
-            if v == 0xff {
-                return Err(bad("not a base64 digit"));
-            }
-            n = n << 6 | u32::from(v);
-        }
-        n <<= 6 * pad as u32;
-        let decoded = [(n >> 16) as u8, (n >> 8) as u8, n as u8];
-        if decoded[3 - pad..].iter().any(|&b| b != 0) {
-            return Err(bad("non-zero bits under the padding"));
-        }
-        out.extend_from_slice(&decoded[..3 - pad]);
+    let Some(last) = bytes.len().checked_sub(4) else {
+        return Ok(Vec::new());
+    };
+    let (body, last) = bytes.split_at(last);
+    let pad = last.iter().rev().take_while(|&&b| b == b'=').count();
+    if pad > 2 {
+        return Err(bad("too much padding"));
     }
+    let mut out = vec![0u8; body.len() / 4 * 3 + 3];
+    let value = |b: u8| u32::from(BASE64_VALUE[b as usize]);
+    // a bad digit's value is 0xff: its top bits survive the `|`
+    let mut invalid = 0u32;
+    for (g, o) in body.chunks_exact(4).zip(out.chunks_exact_mut(3)) {
+        let (a, b, c, d) = (value(g[0]), value(g[1]), value(g[2]), value(g[3]));
+        invalid |= a | b | c | d;
+        let n = a << 18 | b << 12 | c << 6 | d;
+        o.copy_from_slice(&[(n >> 16) as u8, (n >> 8) as u8, n as u8]);
+    }
+    let mut n = 0u32;
+    for &b in &last[..4 - pad] {
+        let v = value(b);
+        invalid |= v;
+        n = n << 6 | v;
+    }
+    if invalid > 63 {
+        return Err(bad("not a base64 digit"));
+    }
+    n <<= 6 * pad as u32;
+    let decoded = [(n >> 16) as u8, (n >> 8) as u8, n as u8];
+    if decoded[3 - pad..].iter().any(|&b| b != 0) {
+        return Err(bad("non-zero bits under the padding"));
+    }
+    let end = out.len() - 3;
+    out[end..].copy_from_slice(&decoded);
+    out.truncate(out.len() - pad);
     Ok(out)
 }
 
@@ -304,9 +364,15 @@ pub fn err_response(message: &str) -> Json {
 
 /// The machine-readable error code a shard answers for an unknown session
 /// token (evicted, or the shard restarted): the coordinator reacts by
-/// re-sending `open` for the same session and retrying, re-establishing
+/// re-sending the request with the step's `open` attached, re-establishing
 /// session affinity instead of failing the query.
 pub const NO_SESSION: &str = "no_session";
+
+/// The machine-readable error code a shard answers when its own plan of an
+/// `open`'s query differs in shape from the coordinator's (a stale catalog,
+/// version skew): it cannot serve the step, and the coordinator treats the
+/// shard as failed.
+pub const PLAN_DIVERGED: &str = "plan_diverged";
 
 /// Builds an `{ok: false, error, code}` response — like [`err_response`] but
 /// with a machine-readable code (e.g. [`NO_SESSION`]) the coordinator can
@@ -553,6 +619,39 @@ mod tests {
             "Zg=", "Zh==", "Zm9=", "Z===", "====", "Zg==Zg==", "Zm9v!A==", "Zm 9",
         ] {
             assert!(base64_decode(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn base64_round_trips_every_length_and_rejects_or_respells_each_substitution() {
+        // seeded bytes: a splitmix64 stream
+        let mut seed = 0x05EE_DB64_u64;
+        let mut byte = || {
+            seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (seed ^ (seed >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            ((z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb) >> 56) as u8
+        };
+        let symbols: Vec<u8> = BASE64.iter().copied().chain(*b"=-_ ").collect();
+        for len in 0usize..=300 {
+            let bytes: Vec<u8> = (0..len).map(|_| byte()).collect();
+            let text = base64_encode(&bytes);
+            assert_eq!(text.len(), len.div_ceil(3) * 4);
+            assert_eq!(base64_decode(&text).unwrap(), bytes, "length {len}");
+            if len > 16 && len < 299 {
+                continue;
+            }
+            // a decoder that accepts a changed spelling must mean it: the
+            // decoded bytes encode back to exactly that spelling
+            for at in 0..text.len() {
+                for &symbol in &symbols {
+                    let mut changed = text.clone().into_bytes();
+                    changed[at] = symbol;
+                    let changed = String::from_utf8(changed).unwrap();
+                    if let Ok(decoded) = base64_decode(&changed) {
+                        assert_eq!(base64_encode(&decoded), changed, "length {len}");
+                    }
+                }
+            }
         }
     }
 

@@ -1,5 +1,6 @@
 //! A shard node: the session machinery serving the coordinator's
-//! `open`/`fetch`/`leaf` protocol against the shared cluster catalog.
+//! `fetch`/`leaf` protocol, with `open` and `close` riding on those
+//! requests, against the shared cluster catalog.
 //!
 //! Every shard holds the whole catalog (one `Arc`), because it plans each
 //! query for itself; it serves only the families it owns. It refuses
@@ -14,11 +15,15 @@
 //! every op **idempotent at-least-once**: a `fetch` whose response was lost
 //! and is retried within the same step is served from the step's ledger
 //! without re-billing (`leaf` is naturally idempotent through the
-//! [`ExecState`] leaf cache; `stats` is a read-only probe; `open` resets the
-//! step).
+//! [`ExecState`] leaf cache; `stats` is a read-only probe). An `open` for the
+//! step a session is already in is a no-op, so a retried first request of a
+//! step keeps that ledger; one for a new step resets the step's accounting
+//! and keeps the fragments. A request carrying `close` drops the session
+//! only after it succeeded.
 //! An unknown session token answers the machine-readable
 //! [`NO_SESSION`](crate::protocol::NO_SESSION) code so the coordinator can
-//! re-establish affinity by re-opening. [`ShardNode::evict_idle`] drops
+//! re-establish affinity by re-sending the request with its step's `open`.
+//! [`ShardNode::evict_idle`] drops
 //! sessions idle for longer than a given time, bounding the memory a
 //! vanished coordinator can pin.
 
@@ -41,6 +46,8 @@ use crate::protocol;
 /// — exactly like a single-node `AnswerSession`.
 #[derive(Debug)]
 struct ShardSession {
+    /// The coordinator's step this session serves (see [`protocol::open_message`]).
+    step: usize,
     plan: BoundedPlan,
     state: ExecState,
     fragments: PlanFragments,
@@ -57,6 +64,18 @@ struct ShardSession {
     step_served: HashMap<usize, Arc<Relation>>,
     /// When the session last served a request, for idle eviction.
     last_used: Instant,
+}
+
+/// What an `open` field asks of a session.
+enum Opening {
+    /// The session is already in the step (a retried first request), or the
+    /// request carries no `open`: nothing to do.
+    Current,
+    /// A new step, with this shard's plan for it.
+    Step(Box<ShardSession>),
+    /// This shard's plan differs in shape from the coordinator's: the
+    /// [`protocol::PLAN_DIVERGED`] refusal is the answer.
+    Refused(Json),
 }
 
 /// A cluster shard node. See the module docs.
@@ -111,9 +130,9 @@ impl ShardNode {
 
     /// Evicts sessions idle for longer than `ttl`, returning how many were
     /// dropped and how many tuples of fragment/leaf memory they held. A
-    /// coordinator whose retried call then answers [`protocol::NO_SESSION`]
-    /// re-opens transparently, so eviction trades shard memory for one
-    /// re-open round-trip.
+    /// coordinator whose call then answers [`protocol::NO_SESSION`] re-sends
+    /// it with the step's `open` attached, so eviction trades shard memory
+    /// for one more round trip.
     pub fn evict_idle(&self, ttl: Duration) -> (usize, usize) {
         let mut sessions = self.sessions.lock().expect("sessions poisoned");
         let mut dropped = 0;
@@ -155,9 +174,7 @@ impl ShardNode {
             .ok_or_else(|| ClusterError::Wire("missing op".to_string()))?;
         let session = protocol::req_usize(request, "session")? as u64;
         match op {
-            "open" => self.op_open(session, request),
-            "fetch" => self.op_fetch(session, request),
-            "leaf" => self.op_leaf(session, request),
+            "fetch" | "leaf" => self.serve(session, op == "fetch", request),
             "stats" => self.op_stats(session, false),
             "close" => self.op_stats(session, true),
             other => Err(ClusterError::Wire(format!("unknown op `{other}`"))),
@@ -169,29 +186,84 @@ impl ShardNode {
         protocol::err_response_code(&format!("no open session {session}"), protocol::NO_SESSION)
     }
 
-    fn op_open(&self, session: u64, request: &Json) -> Result<Json> {
-        let budget = protocol::req_usize(request, "budget")?;
-        let share = protocol::req_usize(request, "share")?;
-        let query = query_from_json(protocol::req_field(request, "query")?, &self.catalog.schema)?;
+    /// Serves a `fetch` (`fetch == true`) or a `leaf`: first opens the step
+    /// its `open` field names, if it carries one, and afterwards closes the
+    /// session if it carries `close: true` and succeeded.
+    fn serve(&self, session: u64, fetch: bool, request: &Json) -> Result<Json> {
+        let opening = match request.get("open") {
+            Some(open) => self.plan_step(session, open)?,
+            None => Opening::Current,
+        };
+        if let Opening::Refused(refusal) = opening {
+            return Ok(refusal);
+        }
+        let mut sessions = self.sessions.lock().expect("sessions poisoned");
+        if let Opening::Step(mut opened) = opening {
+            // a new step keeps the fragment/leaf state and its cumulative
+            // counters, swaps the plan and resets the step accounting
+            if let Some(previous) = sessions.remove(&session) {
+                opened.state = previous.state;
+            }
+            sessions.insert(session, *opened);
+        }
+        let Some(open) = sessions.get_mut(&session) else {
+            return Ok(Self::no_session(session));
+        };
+        open.last_used = Instant::now();
+        let response = if fetch {
+            self.op_fetch(open, request)?
+        } else {
+            self.op_leaf(open, request)?
+        };
+        if request.get("close").and_then(Json::as_bool) == Some(true) {
+            sessions.remove(&session);
+        }
+        Ok(response)
+    }
+
+    /// What the `open` field `open` asks of `session`.
+    fn plan_step(&self, session: u64, open: &Json) -> Result<Opening> {
+        let step = protocol::req_usize(open, "step")?;
+        let current = self
+            .sessions
+            .lock()
+            .expect("sessions poisoned")
+            .get(&session)
+            .is_some_and(|s| s.step == step);
+        if current {
+            return Ok(Opening::Current);
+        }
+        let budget = protocol::req_usize(open, "budget")?;
+        let share = protocol::req_usize(open, "share")?;
+        let query = query_from_json(protocol::req_field(open, "query")?, &self.catalog.schema)?;
         // the shard plans for itself: planning is deterministic over the
         // shared catalog, so this is the coordinator's plan without a plan
-        // ever being serialized
+        // ever being serialized — unless the catalogs differ, which the
+        // plan's shape shows
         let plan = Planner::new(&self.catalog).plan_with_budget(&query, budget)?;
-        let (tariff, nodes, leaves) = (plan.tariff, plan.fetch.nodes.len(), plan.leaves.len());
+        let mine = (plan.tariff, plan.fetch.nodes.len(), plan.leaves.len());
+        let theirs = (
+            protocol::req_usize(open, "tariff")?,
+            protocol::req_usize(open, "nodes")?,
+            protocol::req_usize(open, "leaves")?,
+        );
+        if mine != theirs {
+            return Ok(Opening::Refused(protocol::err_response_code(
+                &format!(
+                    "planned divergently: tariff {} vs {}, {} nodes vs {}, {} leaves vs {}",
+                    mine.0, theirs.0, mine.1, theirs.1, mine.2, theirs.2
+                ),
+                protocol::PLAN_DIVERGED,
+            )));
+        }
         let fragments = PlanFragments::for_plan(&plan);
         let options = ExecOptions::budgeted(share)
             .with_threads(self.threads)
             .with_min_shard_rows(self.min_shard_rows);
-        let mut sessions = self.sessions.lock().expect("sessions poisoned");
-        // re-open = next refinement step (or an affinity-restoring retry):
-        // keep the fragment/leaf state with its cumulative counters, swap
-        // the plan and reset the step accounting
-        let state = sessions
-            .remove(&session)
-            .map_or_else(ExecState::new, |open| open.state);
-        let open = ShardSession {
+        Ok(Opening::Step(Box::new(ShardSession {
+            step,
             plan,
-            state,
+            state: ExecState::new(),
             fragments,
             options,
             share,
@@ -199,22 +271,13 @@ impl ShardNode {
             fetch_ops: 0,
             step_served: HashMap::new(),
             last_used: Instant::now(),
-        };
-        let mut fields = vec![
-            ("shard", Json::Int(self.shard as i64)),
-            ("tariff", Json::Int(tariff as i64)),
-            ("nodes", Json::Int(nodes as i64)),
-            ("leaves", Json::Int(leaves as i64)),
-        ];
-        fields.extend(Self::step_accounting(&open));
-        sessions.insert(session, open);
-        Ok(protocol::ok_response(fields))
+        })))
     }
 
-    /// The accounting block every `open` and `fetch` response carries, so the
-    /// coordinator holds the shard's exact numbers from the first message of
-    /// a step on: this step's `billed`/`fetches` (zero right after `open`)
-    /// and the session-cumulative `fetched_tuples`/`reused_tuples`.
+    /// The accounting block every `fetch` response carries, so the
+    /// coordinator holds the shard's exact numbers at every point of a step:
+    /// this step's `billed`/`fetches` and the session-cumulative
+    /// `fetched_tuples`/`reused_tuples`.
     fn step_accounting(open: &ShardSession) -> Vec<(&'static str, Json)> {
         vec![
             ("billed", Json::Int(open.billed as i64)),
@@ -230,14 +293,9 @@ impl ShardNode {
         ]
     }
 
-    fn op_fetch(&self, session: u64, request: &Json) -> Result<Json> {
+    fn op_fetch(&self, open: &mut ShardSession, request: &Json) -> Result<Json> {
         let node_id = protocol::req_usize(request, "node")?;
         let keys = protocol::keys_from_json(protocol::req_field(request, "keys")?)?;
-        let mut sessions = self.sessions.lock().expect("sessions poisoned");
-        let Some(open) = sessions.get_mut(&session) else {
-            return Ok(Self::no_session(session));
-        };
-        open.last_used = Instant::now();
         // at-least-once delivery: a fetch retried after its response was lost
         // must not bill the share a second time
         if let Some(rel) = open.step_served.get(&node_id) {
@@ -268,13 +326,8 @@ impl ShardNode {
         Ok(protocol::ok_response(fields))
     }
 
-    fn op_leaf(&self, session: u64, request: &Json) -> Result<Json> {
+    fn op_leaf(&self, open: &mut ShardSession, request: &Json) -> Result<Json> {
         let leaf = protocol::req_usize(request, "leaf")?;
-        let mut sessions = self.sessions.lock().expect("sessions poisoned");
-        let Some(open) = sessions.get_mut(&session) else {
-            return Ok(Self::no_session(session));
-        };
-        open.last_used = Instant::now();
         let ShardSession {
             plan,
             state,

@@ -24,7 +24,8 @@
 //! [`ClusterError::Timeout`]. Shard endpoints are re-pointable at runtime
 //! ([`TcpShardTransport::set_addr`]) so a shard that rejoins on a new port
 //! picks up where it left off — the session state it lost is re-established
-//! by the coordinator's `no_session` re-open healing.
+//! by the coordinator's `no_session` healing, which re-sends the request
+//! with its step's `open`.
 
 use std::collections::VecDeque;
 use std::net::SocketAddr;

@@ -2,7 +2,10 @@
 //!
 //! The protocol is transport-agnostic JSON with relations inside as base64
 //! column frames (see [`crate::protocol`]); a transport only moves one
-//! request to one shard and brings its response back. [`InProcessTransport`]
+//! request to one shard and brings its response back. Every call is a data
+//! message (`fetch` or `leaf`, opening the session on a shard's first one)
+//! or a `close`, so an answer costs one call per fetch node and per
+//! shard-local leaf, plus one `close` per shard that served more than one. [`InProcessTransport`]
 //! — the reference implementation behind a freshly built cluster, the tests
 //! and the examples — still serializes every message to wire text and
 //! parses it back, so the full encode/decode path, frames included, is

@@ -153,24 +153,50 @@ fn write_string(s: &str, f: &mut fmt::Formatter<'_>) -> fmt::Result {
     f.write_str("\"")?;
     // everything that needs escaping is ASCII, so the runs between escapes
     // are whole characters and go out as one slice each
+    let bytes = s.as_bytes();
     let mut run = 0;
-    for (i, b) in s.bytes().enumerate() {
-        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
-            continue;
-        }
+    while let Some(i) = next_special(bytes, run, true) {
         f.write_str(&s[run..i])?;
         run = i + 1;
-        match b {
+        match bytes[i] {
             b'"' => f.write_str("\\\""),
             b'\\' => f.write_str("\\\\"),
             b'\n' => f.write_str("\\n"),
             b'\r' => f.write_str("\\r"),
             b'\t' => f.write_str("\\t"),
-            _ => write!(f, "\\u{b:04x}"),
+            b => write!(f, "\\u{b:04x}"),
         }?;
     }
     f.write_str(&s[run..])?;
     f.write_str("\"")
+}
+
+/// `0x01` in every byte of a word.
+const ONES: u64 = 0x0101_0101_0101_0101;
+
+/// Whether a byte of the word `w` is below `n` (`n ≤ 0x80`): exact, with no
+/// false positives, for the word as a whole.
+fn has_byte_below(w: u64, n: u8) -> bool {
+    w.wrapping_sub(ONES * u64::from(n)) & !w & (ONES << 7) != 0
+}
+
+/// The index of the first `"` or `\` in `bytes` at or after `from` — or of
+/// the first byte below 0x20 too, with `controls` — scanning eight bytes at
+/// a time until a word holds one.
+fn next_special(bytes: &[u8], from: usize, controls: bool) -> Option<usize> {
+    let special = |b: u8| b == b'"' || b == b'\\' || (controls && b < 0x20);
+    let mut at = from;
+    for word in bytes[from..].chunks_exact(8) {
+        let w = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+        if has_byte_below(w ^ (ONES * u64::from(b'"')), 1)
+            || has_byte_below(w ^ (ONES * u64::from(b'\\')), 1)
+            || (controls && has_byte_below(w, 0x20))
+        {
+            break;
+        }
+        at += 8;
+    }
+    bytes[at..].iter().position(|&b| special(b)).map(|i| at + i)
 }
 
 /// A JSON parse error with a byte offset.
@@ -304,9 +330,7 @@ impl<'a> Parser<'a> {
             // the run up to the next `"` or `\` goes out as one slice: both
             // are ASCII, so the run starts and ends on char boundaries
             let start = self.pos;
-            self.pos += self.bytes()[start..]
-                .iter()
-                .position(|&b| b == b'"' || b == b'\\')
+            self.pos = next_special(self.bytes(), start, false)
                 .ok_or_else(|| self.err("unterminated string"))?;
             out.push_str(&self.input[start..self.pos]);
             let closes = self.bytes()[self.pos] == b'"';
@@ -438,6 +462,39 @@ mod tests {
         ] {
             let v = parse(text).unwrap();
             assert_eq!(parse(&v.to_string()).unwrap(), v, "{text}");
+        }
+    }
+
+    #[test]
+    fn strings_round_trip_with_a_special_character_at_every_word_offset() {
+        // the string scanners skip eight bytes at a time: put each escape,
+        // each control byte and a 4-byte character at every offset of the
+        // first two words and the one after, in a 40-byte string
+        let specials: Vec<char> = ['"', '\\', '/', '\u{7f}', '\u{1F600}']
+            .into_iter()
+            .chain((0u8..0x20).map(char::from))
+            .collect();
+        for special in specials {
+            for offset in 0..=16 {
+                let mut text = "x".repeat(offset);
+                text.push(special);
+                while text.len() < 40 {
+                    text.push(if text.len() % 3 == 0 { 'é' } else { 'y' });
+                }
+                let written = Json::Str(text.clone()).to_string();
+                assert!(
+                    written.bytes().all(|b| b >= 0x20),
+                    "a raw control byte in {written:?}"
+                );
+                assert_eq!(
+                    parse(&written).unwrap(),
+                    Json::Str(text.clone()),
+                    "{special:?} at {offset}"
+                );
+                // and inside a document, next to another string
+                let doc = Json::Arr(vec![Json::Str(text.clone()), Json::Str(text)]);
+                assert_eq!(parse(&doc.to_string()).unwrap(), doc);
+            }
         }
     }
 

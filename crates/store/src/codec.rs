@@ -432,6 +432,60 @@ mod tests {
     use super::*;
     use beas_relal::Value;
 
+    /// Every level of every family of two separate builds of one database
+    /// — the `A_t` families, a constraint and an extended family, grouped by
+    /// a key with many values — as the bytes a snapshot stores.
+    #[test]
+    fn two_builds_of_one_database_store_byte_identical_levels() {
+        let schema = DatabaseSchema::new(vec![RelationSchema::new(
+            "visit",
+            vec![
+                Attribute::categorical("city"),
+                Attribute::int("stars"),
+                Attribute::double("spend"),
+            ],
+        )]);
+        let mut db = Database::new(schema);
+        for i in 0..600i64 {
+            let spend = if i % 17 == 0 {
+                f64::NAN
+            } else {
+                i as f64 * 0.25
+            };
+            db.insert_row(
+                "visit",
+                vec![
+                    Value::from(format!("city-{}", i * 7 % 60)),
+                    Value::Int(i % 5),
+                    Value::Double(spend),
+                ],
+            )
+            .unwrap();
+        }
+        let level_bytes = || {
+            let mut families = beas_access::build_at(&db).unwrap();
+            families
+                .push(beas_access::build_constraint(&db, "visit", &["city"], &["stars"]).unwrap());
+            families.push(
+                beas_access::build_extended(&db, "visit", &["city", "stars"], &["spend"]).unwrap(),
+            );
+            let mut bytes = Vec::new();
+            for family in &families {
+                for level in &family.levels {
+                    let mut buf = Vec::new();
+                    put_level_parts(&mut buf, &level.to_parts().unwrap());
+                    bytes.push(buf);
+                }
+            }
+            bytes
+        };
+        let (first, second) = (level_bytes(), level_bytes());
+        assert_eq!(first.len(), second.len());
+        for (k, (a, b)) in first.iter().zip(&second).enumerate() {
+            assert!(a == b, "level {k} differs between builds");
+        }
+    }
+
     #[test]
     fn batches_round_trip() {
         let inserts = vec![
